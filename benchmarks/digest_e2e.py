@@ -5,13 +5,18 @@ Hashes every decision-relevant observable of a mid-scale seeded run
 per-sample series of ``run_once``) so refactors of the reachability seam
 can prove byte-identity against the recorded pre-change digest.
 
-Run: ``PYTHONPATH=src python benchmarks/digest_e2e.py``
+Run: ``PYTHONPATH=src python benchmarks/digest_e2e.py [--expect HASH]``
+
+With ``--expect`` the script exits non-zero unless the digest equals
+*HASH* (CI pins the recorded one this way).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -51,5 +56,19 @@ def e2e_digest(n_nodes: int = 600, seed: int = 20260807) -> str:
     return h.hexdigest()
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--expect", metavar="HASH", help="fail unless the digest equals HASH"
+    )
+    args = parser.parse_args(argv)
+    digest = e2e_digest()
+    print(digest)
+    if args.expect is not None and digest != args.expect:
+        print(f"digest mismatch: expected {args.expect}", file=sys.stderr)
+        return 1
+    return 0
+
+
 if __name__ == "__main__":
-    print(e2e_digest())
+    raise SystemExit(main())

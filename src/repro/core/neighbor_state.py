@@ -1,17 +1,15 @@
 """World-level columnar neighbor state (struct-of-arrays Hello storage).
 
-The scalar pipeline keeps one :class:`~repro.core.tables.NeighborTable`
-per node, each holding per-sender ``deque[Hello]`` histories — perfectly
-fine at paper scale, but at 10k nodes a single Hello generation performs
-hundreds of thousands of Python-level deque appends and Hello allocations.
-:class:`NeighborState` stores the same information *columnar*: one flat
-NumPy ring buffer of shape ``(slots, k)`` per field (version / x / y /
-sent_at / local timestamp), where a *slot* is one (receiver, sender) pair
-and ``k`` is the retained history depth.  A batched Hello delivery then
-updates every receiver of one transmission with a single vectorized splice
-(`record_batch`), instead of per-receiver Python calls.
+At 10k nodes a single Hello generation delivers hundreds of thousands of
+Hellos; storing them as per-sender ``deque[Hello]`` objects would cost a
+Python-level deque append each.  :class:`NeighborState` stores them
+*columnar* instead: NumPy ring buffers of shape ``(slots, k)``, where a
+*slot* is one (receiver, sender) pair and ``k`` is the retained history
+depth.  A Hello delivery then updates every receiver of one
+transmission with a single vectorized splice (`record_batch`).
 
-Semantics are bit-identical to the scalar tables:
+The semantics are those of the dict-of-deques reference table
+(:mod:`repro.core._reference`), bit for bit:
 
 - per-receiver sender *insertion order* is preserved (an insertion-ordered
   ``dict[sender -> slot]`` directory per receiver), which is what keeps
@@ -19,16 +17,16 @@ Semantics are bit-identical to the scalar tables:
 - per-pair histories are bounded rings of depth ``k`` (oldest evicted),
   the exact ``deque(maxlen=k)`` behaviour;
 - ``mutations`` / ``hellos_received`` counters live in flat per-node
-  arrays and follow the same increment rules as the scalar tables.
+  arrays and follow the same increment rules.
 
-Hello objects are *materialised on read* (and memoised per slot until the
-slot is written again); :class:`~repro.core.views.Hello` is a frozen value
-type, so a materialised copy compares equal to the original in every view
-and fingerprint.
+The rings hold references to the recorded :class:`~repro.core.views.Hello`
+objects themselves (one frozen object per transmission, shared by all its
+receivers), next to an int64 version column for vectorized version reads
+and a newest-``sent_at`` column for the liveness checks.
 
 The per-node facade over this storage is
-:class:`~repro.core.tables.ColumnarNeighborTable`; the batched delivery
-path that feeds it lives in :mod:`repro.sim.world`.
+:class:`~repro.core.tables.NeighborTable`; the delivery path that feeds
+it lives in :mod:`repro.sim.world`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ from repro.util.validate import check_int_range
 
 __all__ = ["NeighborState"]
 
-_EMPTY_F = np.empty(0, dtype=np.float64)
+#: :meth:`NeighborState.newest_versions` value where no Hello is retained
+NO_VERSION = np.iinfo(np.int64).min
 
 
 class NeighborState:
@@ -60,17 +59,12 @@ class NeighborState:
         "mutations",
         "hellos_received",
         "_directory",
+        "_hello",
         "_version",
-        "_x",
-        "_y",
-        "_sent",
-        "_ts",
         "_writes",
         "_latest_sent",
-        "_slot_sender",
         "_n_slots",
         "_slot_cache",
-        "_memo",
     )
 
     def __init__(self, n_nodes: int, history_depth: int) -> None:
@@ -79,59 +73,41 @@ class NeighborState:
         self.mutations = np.zeros(n_nodes, dtype=np.int64)
         self.hellos_received = np.zeros(n_nodes, dtype=np.int64)
         #: per-receiver ``{sender: slot}``; dict insertion order *is* the
-        #: scalar tables' record order, which the view tokens depend on.
+        #: reference table's record order, which the view tokens depend on.
         self._directory: list[dict[int, int]] = [{} for _ in range(n_nodes)]
-        cap = 1024
-        k = self.k
-        self._version = np.zeros((cap, k), dtype=np.int64)
-        self._x = np.zeros((cap, k), dtype=np.float64)
-        self._y = np.zeros((cap, k), dtype=np.float64)
-        self._sent = np.zeros((cap, k), dtype=np.float64)
-        self._ts = np.zeros((cap, k), dtype=np.float64)
+        cap = 16 * n_nodes
+        #: the recorded Hello objects themselves (shared by every receiver
+        #: of one transmission), ring position ``writes % k`` per slot
+        self._hello = np.full((cap, self.k), None, dtype=object)
+        self._version = np.zeros((cap, self.k), dtype=np.int64)
         #: total writes per slot; ring head = writes % k, fill = min(writes, k)
         self._writes = np.zeros(cap, dtype=np.int64)
         #: sent_at of the newest entry per slot (freshness / expiry checks)
         self._latest_sent = np.full(cap, -np.inf, dtype=np.float64)
-        self._slot_sender = np.zeros(cap, dtype=np.int64)
         self._n_slots = 0
         #: per-sender ``(receivers, slots)`` fast path: consecutive Hello
         #: generations usually reach the same receiver set, so the slot
         #: gather is one ``array_equal`` instead of a per-receiver dict walk.
         self._slot_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: per-slot materialisation memo: ``slot -> (writes, tuple[Hello])``
-        self._memo: dict[int, tuple[int, tuple[Hello, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     # storage management
 
-    def _grow(self, need: int) -> None:
-        cap = self._version.shape[0]
-        new_cap = cap
-        while new_cap < need:
-            new_cap *= 2
-        if new_cap == cap:
-            return
-        for name in ("_version", "_x", "_y", "_sent", "_ts"):
-            old = getattr(self, name)
-            fresh = np.zeros((new_cap, self.k), dtype=old.dtype)
-            fresh[:cap] = old
-            setattr(self, name, fresh)
-        for name, fill in (
-            ("_writes", 0),
-            ("_slot_sender", 0),
-            ("_latest_sent", -np.inf),
-        ):
-            old = getattr(self, name)
-            fresh = np.full(new_cap, fill, dtype=old.dtype)
-            fresh[:cap] = old
-            setattr(self, name, fresh)
-
-    def _alloc_slot(self, sender: int) -> int:
+    def _alloc_slot(self) -> int:
         slot = self._n_slots
-        if slot >= self._version.shape[0]:
-            self._grow(slot + 1)
+        cap = self._writes.shape[0]
+        if slot >= cap:
+            for name, fill in (
+                ("_hello", None),
+                ("_version", 0),
+                ("_writes", 0),
+                ("_latest_sent", -np.inf),
+            ):
+                old = getattr(self, name)
+                fresh = np.full((2 * cap,) + old.shape[1:], fill, dtype=old.dtype)
+                fresh[:cap] = old
+                setattr(self, name, fresh)
         self._n_slots = slot + 1
-        self._slot_sender[slot] = sender
         return slot
 
     def _slots_for(self, sender: int, receivers: np.ndarray) -> np.ndarray:
@@ -141,7 +117,7 @@ class NeighborState:
             d = directory[rid]
             slot = d.get(sender)
             if slot is None:
-                slot = self._alloc_slot(sender)
+                slot = self._alloc_slot()
                 d[sender] = slot
             slots[i] = slot
         return slots
@@ -170,44 +146,57 @@ class NeighborState:
             slots = self._slots_for(sender, receivers)
             self._slot_cache[sender] = (receivers.copy(), slots)
         pos = self._writes[slots] % self.k
+        self._hello[slots, pos] = hello
         self._version[slots, pos] = hello.version
-        self._x[slots, pos] = hello.position[0]
-        self._y[slots, pos] = hello.position[1]
-        self._sent[slots, pos] = hello.sent_at
-        self._ts[slots, pos] = hello.timestamp
         self._writes[slots] += 1
         self._latest_sent[slots] = hello.sent_at
         self.hellos_received[receivers] += 1
         self.mutations[receivers] += 1
 
     def record_one(self, receiver: int, hello: Hello) -> None:
-        """Scalar form of :meth:`record_batch` (single receiver)."""
+        """Single-receiver form of :meth:`record_batch`."""
         d = self._directory[receiver]
         sender = hello.sender
         slot = d.get(sender)
         if slot is None:
-            slot = self._alloc_slot(sender)
+            slot = self._alloc_slot()
             d[sender] = slot
             self._slot_cache.pop(sender, None)
         pos = int(self._writes[slot]) % self.k
+        self._hello[slot, pos] = hello
         self._version[slot, pos] = hello.version
-        self._x[slot, pos] = hello.position[0]
-        self._y[slot, pos] = hello.position[1]
-        self._sent[slot, pos] = hello.sent_at
-        self._ts[slot, pos] = hello.timestamp
         self._writes[slot] += 1
         self._latest_sent[slot] = hello.sent_at
         self.hellos_received[receiver] += 1
         self.mutations[receiver] += 1
 
+    def newest_versions(self, sender: int, receivers: np.ndarray) -> np.ndarray:
+        """Newest retained version of *sender*'s Hellos at each receiver.
+
+        :data:`NO_VERSION` where a receiver retains nothing from *sender*
+        (never heard, or pruned).  The delivery path compares this with an
+        arriving Hello's version to discard overtaken (stale) copies.
+        """
+        directory = self._directory
+        slots = np.fromiter(
+            (directory[rid].get(sender, -1) for rid in receivers.tolist()),
+            dtype=np.intp,
+            count=receivers.size,
+        )
+        out = np.full(receivers.size, NO_VERSION, dtype=np.int64)
+        held = slots >= 0
+        slots = slots[held]
+        out[held] = self._version[slots, (self._writes[slots] - 1) % self.k]
+        return out
+
     def prune(self, receiver: int, now: float, expiry: float) -> bool:
         """Drop *receiver*'s pairs not heard from within *expiry* seconds.
 
         Returns True (and bumps the receiver's mutation counter once, the
-        scalar-table rule) when anything was dropped.  Dropped slots are
+        reference-table rule) when anything was dropped.  Dropped slots are
         never reused; the per-sender slot caches touching them are
         invalidated so a later Hello from the same sender starts a fresh
-        history, exactly like a fresh scalar deque.
+        history, exactly like a fresh deque.
         """
         d = self._directory[receiver]
         if not d:
@@ -217,40 +206,20 @@ class NeighborState:
         if not stale:
             return False
         for s in stale:
-            slot = d.pop(s)
-            self._memo.pop(slot, None)
+            del d[s]
             self._slot_cache.pop(s, None)
         self.mutations[receiver] += 1
         return True
 
     # ------------------------------------------------------------------ #
-    # reads (materialisation)
+    # reads
 
-    def _materialize(self, slot: int) -> tuple[Hello, ...]:
+    def _history(self, slot: int) -> tuple[Hello, ...]:
         writes = int(self._writes[slot])
-        memo = self._memo.get(slot)
-        if memo is not None and memo[0] == writes:
-            return memo[1]
         k = self.k
         count = writes if writes < k else k
-        sender = int(self._slot_sender[slot])
-        version = self._version[slot]
-        x = self._x[slot]
-        y = self._y[slot]
-        sent = self._sent[slot]
-        ts = self._ts[slot]
-        hellos = tuple(
-            Hello(
-                sender=sender,
-                version=int(version[j]),
-                position=(float(x[j]), float(y[j])),
-                sent_at=float(sent[j]),
-                timestamp=float(ts[j]),
-            )
-            for j in ((writes - count + i) % k for i in range(count))
-        )
-        self._memo[slot] = (writes, hellos)
-        return hellos
+        row = self._hello[slot]
+        return tuple(row[(writes - count + i) % k] for i in range(count))
 
     def senders(self, receiver: int) -> list[int]:
         """Sender ids recorded at *receiver*, in insertion order."""
@@ -259,7 +228,7 @@ class NeighborState:
     def history(self, receiver: int, sender: int) -> tuple[Hello, ...]:
         """Retained Hellos of one (receiver, sender) pair, oldest first."""
         slot = self._directory[receiver].get(sender)
-        return () if slot is None else self._materialize(slot)
+        return () if slot is None else self._history(slot)
 
     def live_ids(self, receiver: int, now: float, expiry: float) -> tuple[int, ...]:
         """Sender ids with a live (non-expired) Hello, insertion order."""
@@ -275,22 +244,28 @@ class NeighborState:
     ) -> dict[int, Hello]:
         """Most recent live Hello per sender (insertion-ordered dict)."""
         latest = self._latest_sent
-        out: dict[int, Hello] = {}
-        for s, slot in self._directory[receiver].items():
-            if now - latest[slot] <= expiry:
-                out[s] = self._materialize(slot)[-1]
-        return out
+        live = [
+            (s, slot)
+            for s, slot in self._directory[receiver].items()
+            if now - latest[slot] <= expiry
+        ]
+        if not live:
+            return {}
+        senders, slots = zip(*live)
+        slots = np.asarray(slots, dtype=np.intp)
+        newest = self._hello[slots, (self._writes[slots] - 1) % self.k]
+        return dict(zip(senders, newest.tolist()))
 
     def live_histories(
         self, receiver: int, now: float, expiry: float
     ) -> dict[int, tuple[Hello, ...]]:
         """Full retained history per live sender (insertion-ordered dict)."""
         latest = self._latest_sent
-        out: dict[int, tuple[Hello, ...]] = {}
-        for s, slot in self._directory[receiver].items():
-            if now - latest[slot] <= expiry:
-                out[s] = self._materialize(slot)
-        return out
+        return {
+            s: self._history(slot)
+            for s, slot in self._directory[receiver].items()
+            if now - latest[slot] <= expiry
+        }
 
     @property
     def n_slots(self) -> int:

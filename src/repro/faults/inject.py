@@ -94,18 +94,27 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # accounting seam
 
-    def note(self, action: str, t: float, node: int | None = None, count: int = 1, **data) -> None:
-        """Count one disturbance under *action*; trace it when armed.
+    def note(
+        self, action: str, t: float, node: int | None = None, count: int = 1,
+        tally: bool = False, **data,
+    ) -> None:
+        """Count *count* disturbances under *action*; trace them when armed.
 
         This is the single accounting path for every injector counter —
         the world's outage seams call it too — so the ``fault_*`` stats
-        and the telemetry ``fault`` events can never disagree.
+        and the telemetry ``fault`` events can never disagree.  With
+        *tally*, the *count* disturbances are per-delivery ones noted at
+        once (one delivery batch): the single logged event advances the
+        per-kind event totals by *count*, as *count* separate notes would.
         """
         self.stats[action] += count
         tel = self._telemetry
         if tel is not None:
             tel.count("fault_events", count, action=action)
-            tel.event("fault", t=t, node=node, action=action, count=count, **data)
+            tel.event_batch(
+                "fault", count if tally else 1,
+                t=t, node=node, action=action, count=count, **data,
+            )
 
     # ------------------------------------------------------------------ #
     # outage queries
@@ -116,6 +125,14 @@ class FaultInjector:
             if event.node == node and event.active(t):
                 return True
         return False
+
+    def nodes_down(self, nodes: np.ndarray, t: float) -> np.ndarray:
+        """Boolean mask over *nodes*: inside any outage window at *t*."""
+        down = np.zeros(nodes.size, dtype=bool)
+        for event in self._outages:
+            if event.active(t):
+                down |= nodes == event.node
+        return down
 
     def node_disturbed_since(self, node: int, t0: float, t1: float) -> bool:
         """True if *node* had any outage overlapping ``[t0, t1]``."""
@@ -164,14 +181,29 @@ class FaultInjector:
             self.note("hello_drops", now, node=sender, count=dropped)
         return receivers[keep]
 
-    def delivery_delay(self, now: float, sender: int, receiver: int) -> float:
-        """Extra latency for one directed Hello delivery (0.0 = on time)."""
-        extra = 0.0
+    def delivery_delays(
+        self, now: float, sender: int, receivers: np.ndarray
+    ) -> np.ndarray:
+        """Extra latency per directed Hello delivery (0.0 = on time).
+
+        Overlapping matching events add up, in schedule order.  Every
+        delayed delivery is counted; the batch logs one summarizing event.
+        """
+        extra = np.zeros(receivers.size)
         for event in self._delays:
-            if event.active(now) and event.matches(sender, receiver):
+            if not event.active(now):
+                continue
+            if event.senders is not None and sender not in event.senders:
+                continue
+            if event.receivers is None:
                 extra += event.delay
-        if extra > 0.0:
-            self.note("delayed_deliveries", now, node=receiver, sender=sender)
+            else:
+                extra[np.isin(receivers, event.receivers)] += event.delay
+        delayed = int(np.count_nonzero(extra > 0.0))
+        if delayed:
+            self.note(
+                "delayed_deliveries", now, count=delayed, tally=True, sender=sender
+            )
         return extra
 
     # ------------------------------------------------------------------ #

@@ -1,13 +1,13 @@
-"""Receiver lookup for the batched Hello pipeline.
+"""Receiver lookup for the Hello pipeline.
 
-The scalar emission path evaluates *all* node positions and builds a fresh
-:class:`~repro.geometry.grid.GraphBackend` at every distinct emission time
-— correct, but each sender jitters / clock-skews its own send instant, so
-the per-tick geometry memo never hits during warmup and receiver discovery
-degenerates to O(n) grid builds per Hello generation (the 10k warmup wall;
-see ``docs/PERFORMANCE.md``).
+Evaluating *all* node positions and building a fresh
+:class:`~repro.geometry.grid.GraphBackend` at every emission would be
+correct, but each sender jitters / clock-skews its own send instant, so a
+per-tick geometry memo never hits during warmup and receiver discovery
+degenerates to O(n) grid builds per Hello generation (the 10k warmup
+wall; see ``docs/PERFORMANCE.md``).
 
-:class:`HelloReceiverOracle` answers the same query — *who is within the
+:class:`HelloReceiverOracle` answers the query — *who is within the
 normal range of sender i at time t?* — with a **stale grid plus an exact
 subset filter**:
 
@@ -24,17 +24,16 @@ subset filter**:
 The distance kernel (:func:`~repro.geometry.points.distances_from`) and
 the position interpolation are elementwise, hence subset-stable: filtering
 a superset of candidates yields the *bit-identical* ascending receiver
-array the scalar ``IdealChannel.receivers`` path produces.  The i.i.d.
-loss model downstream consumes its RNG positionally, so identical arrays
-keep the whole run byte-identical.
+array a full ``IdealChannel.receivers`` scan over ``positions(t)``
+produces.  The i.i.d. loss model downstream consumes its RNG
+positionally, so identical arrays keep the whole run byte-identical.
 
 Non-unit-disk :class:`~repro.sim.propagation.PropagationModel` instances
 compose with the same discipline: the stale-grid query radius grows to
 the model's superset radius (``model.query_radius(r) + v_max (t - t_g)``)
 and the exact filter becomes the model's keyed ``accept`` predicate,
-which is itself subset-stable — so the batched route stays bit-identical
-to the scalar one under every model, not just the unit disk
-(``tests/test_property_propagation.py`` pins this contract).
+which is itself subset-stable — so the lookup matches the full scan
+under every model, not just the unit disk.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.geometry.grid import GridIndex
 from repro.geometry.points import distances_from
-from repro.mobility.base import TrajectorySet
+from repro.mobility.base import MobilityModel
 
 __all__ = ["HelloReceiverOracle"]
 
@@ -55,8 +54,10 @@ class HelloReceiverOracle:
 
     Parameters
     ----------
-    trajectories:
-        The compiled :class:`~repro.mobility.base.TrajectorySet`.
+    mobility:
+        The :class:`~repro.mobility.base.MobilityModel` whose analytic
+        trajectories are queried.  Nothing is read from it before the
+        first query, so the trajectories compile on first use.
     radius:
         Transmission range of Hello broadcasts (the normal range).
     slack_factor:
@@ -77,7 +78,7 @@ class HelloReceiverOracle:
     """
 
     __slots__ = (
-        "trajectories",
+        "mobility",
         "radius",
         "propagation",
         "propagation_losses",
@@ -92,12 +93,12 @@ class HelloReceiverOracle:
 
     def __init__(
         self,
-        trajectories: TrajectorySet,
+        mobility: MobilityModel,
         radius: float,
         slack_factor: float = 0.5,
         propagation=None,
     ) -> None:
-        self.trajectories = trajectories
+        self.mobility = mobility
         self.radius = float(radius)
         self.propagation = (
             None if propagation is None or propagation.is_unit_disk else propagation
@@ -109,7 +110,7 @@ class HelloReceiverOracle:
             else self.propagation.query_radius(self.radius)
         )
         self._slack = float(slack_factor) * self.radius
-        self._vmax = trajectories.max_speed()
+        self._vmax = 0.0
         self._grid: GridIndex | None = None
         self._grid_t = 0.0
         self.rebuilds = 0
@@ -117,17 +118,19 @@ class HelloReceiverOracle:
 
     def node_position(self, node: int, t: float) -> np.ndarray:
         """Exact position of one node at *t* (``positions(t)[node]``)."""
-        return self.trajectories.positions_at(t, np.array([node], dtype=np.intp))[0]
+        return self.mobility.positions_at(t, np.array([node], dtype=np.intp))[0]
 
     def positions_of(self, nodes: np.ndarray, t: float) -> np.ndarray:
         """Exact positions of a node subset at *t* (``positions(t)[nodes]``)."""
-        return self.trajectories.positions_at(t, nodes)
+        return self.mobility.positions_at(t, nodes)
 
     def _ensure_grid(self, t: float) -> GridIndex:
         grid = self._grid
         if grid is not None and self._vmax * (t - self._grid_t) <= self._slack:
             return grid
-        grid = GridIndex(self.trajectories.positions(t), cell_size=self.radius)
+        if grid is None:
+            self._vmax = self.mobility.max_speed()
+        grid = GridIndex(self.mobility.positions(t), cell_size=self.radius)
         self._grid = grid
         self._grid_t = t
         self.rebuilds += 1
@@ -153,15 +156,15 @@ class HelloReceiverOracle:
             return _EMPTY
         model = self.propagation
         if model is None:
-            d = distances_from(p, self.trajectories.positions_at(t, cand))
+            d = distances_from(p, self.mobility.positions_at(t, cand))
             hit = cand[d <= self.radius]
             return hit[hit != sender]
         cand = cand[cand != sender]
         if cand.size == 0:
             return _EMPTY
-        d = distances_from(p, self.trajectories.positions_at(t, cand))
+        d = distances_from(p, self.mobility.positions_at(t, cand))
         ok = model.accept(sender, cand, d, self.radius, t)
-        # Same counted set as the scalar route: candidates the unit disk
+        # Same counted set as IdealChannel.receivers: candidates the unit disk
         # would reach but the model rejects (d <= query radius always
         # holds for them in any candidate superset).
         self.propagation_losses += int(

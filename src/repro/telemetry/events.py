@@ -102,9 +102,9 @@ class EventLog:
         :meth:`kind_counts`) advances by *tally*, while only one event is
         retained — the other ``tally - 1`` count as recorded-but-not-
         retained (``dropped``), the same accounting :meth:`absorb_counts`
-        uses for merged summaries.  This is what keeps the batched Hello
-        pipeline's ``hello_received`` kind totals exactly equal to the
-        scalar per-receiver path.
+        uses for merged summaries.  This is what keeps the Hello
+        pipeline's per-batch ``hello_received`` and ``fault`` kind totals
+        exactly equal to one event per reception.
         """
         if tally < 1:
             raise ValueError(f"tally must be >= 1, got {tally}")

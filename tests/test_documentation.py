@@ -6,7 +6,9 @@ make that a property of the build rather than a review checklist:
 - every module in the package has a module docstring;
 - every public class and function reachable from package ``__all__``
   exports has a docstring;
-- the doctest examples embedded in docstrings actually run.
+- the doctest examples embedded in docstrings actually run;
+- the package version, ``pyproject.toml`` and the newest CHANGELOG
+  release agree.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import doctest
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +117,15 @@ def test_doctests_run_clean(module_name):
     module = importlib.import_module(module_name)
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0, f"{module_name}: {result.failed} doctest failures"
+
+
+def test_version_agrees_across_pyproject_package_and_changelog():
+    root = Path(__file__).resolve().parent.parent
+    pyproject = re.search(
+        r'^version = "([^"]+)"', (root / "pyproject.toml").read_text(), re.MULTILINE
+    ).group(1)
+    # The newest released section; an "Unreleased" heading may sit above it.
+    changelog = re.search(
+        r"^## (\d+\.\d+\.\d+)\s*$", (root / "CHANGELOG.md").read_text(), re.MULTILINE
+    ).group(1)
+    assert pyproject == repro.__version__ == changelog

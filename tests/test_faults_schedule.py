@@ -178,9 +178,28 @@ class TestInjectorQueries:
             )
         )
         inj = self.make_injector(sched)
-        assert inj.delivery_delay(1.0, 1, 5) == pytest.approx(0.5)
-        assert inj.delivery_delay(1.0, 2, 5) == pytest.approx(0.2)
-        assert inj.delivery_delay(9.5, 1, 5) == 0.0
+        receivers = np.array([5, 6])
+        assert inj.delivery_delays(1.0, 1, receivers) == pytest.approx([0.5, 0.5])
+        assert inj.delivery_delays(1.0, 2, receivers) == pytest.approx([0.2, 0.2])
+        assert inj.delivery_delays(9.5, 1, receivers).tolist() == [0.0, 0.0]
+        assert inj.stats["delayed_deliveries"] == 4
+
+    def test_delivery_delay_receiver_filter_splits_a_batch(self):
+        sched = FaultSchedule(
+            events=(DeliveryDelay(start=0.0, end=9.0, delay=0.3, receivers=(2, 7)),)
+        )
+        inj = self.make_injector(sched)
+        delays = inj.delivery_delays(1.0, 0, np.array([1, 2, 5, 7]))
+        assert delays.tolist() == [0.0, 0.3, 0.0, 0.3]
+        assert inj.stats["delayed_deliveries"] == 2
+
+    def test_nodes_down_is_the_vector_form_of_node_down(self):
+        inj = self.make_injector()
+        nodes = np.array([3, 9, 3])
+        for t in (2.0, 3.0, 4.0):
+            assert inj.nodes_down(nodes, t).tolist() == [
+                inj.node_down(int(n), t) for n in nodes
+            ]
 
     def test_position_noise_within_amplitude(self):
         sched = FaultSchedule(events=(PositionNoise(amplitude=5.0),))

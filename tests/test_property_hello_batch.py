@@ -1,220 +1,112 @@
-"""Batched vs scalar Hello pipeline: the bit-identity contract.
+"""The Hello pipeline: bit-identity with the historical scalar route.
 
-The batched pipeline (``hello_pipeline="batched"`` / the ``"auto"``
-dispatch) must be observationally indistinguishable from the historical
-scalar per-receiver path: same retained Hello histories, same table
-tokens, same channel counters, same RNG stream consumption — across
-consistency mechanisms, Hello loss, the collision model and clock
-jitter.  These tests build *twin worlds* from identical configuration
-and seed, run both, and compare every observable that decisions and
-``RunStats`` derive from.
+Every world delivers each Hello as one engine event carrying its receiver
+array, into the columnar :class:`NeighborState`.  Before faults moved onto
+that pipeline, a scalar per-receiver route ran next to it and these tests
+built *twin worlds* — one per route — to prove them identical.  The
+scalar route is gone; its outputs for the same scenarios were recorded as
+digests (``tests/data/hello_route_digests.json``, section ``twins``), so
+the twin tests below now compare the pipeline against those recordings:
+same retained Hello histories, same table tokens, same channel counters,
+same RNG stream consumption — across consistency mechanisms, Hello loss,
+the collision model and clock jitter.
 
-Also here: the scalar-route oracle discipline (faults force the scalar
-path; ``"batched"`` + faults is a configuration error), the
-``_drop_collided`` expiry boundary, :class:`NeighborState` ring/prune
-semantics and the engine's handle-free ``schedule_batch``.
+Also here: the pipeline counters, the ``_drop_collided`` expiry boundary,
+:class:`NeighborState` ring/prune semantics and the engine's handle-free
+``schedule_batch``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from test_hello_route_digests import recorded_digests, route_digest, spec_for
 
-from repro.core.buffer_zone import BufferZonePolicy
-from repro.core.consistency import (
-    BaselineConsistency,
-    ProactiveConsistency,
-    ReactiveConsistency,
-    ViewSynchronization,
-    WeakConsistency,
-)
-from repro.core.manager import MobilitySensitiveTopologyControl
-from repro.core.neighbor_state import NeighborState
-from repro.core.tables import ColumnarNeighborTable, NeighborTable
+from repro.analysis.experiment import build_world
+from repro.core.neighbor_state import NO_VERSION, NeighborState
 from repro.core.views import Hello
 from repro.faults.schedule import FaultSchedule, NodeOutage
-from repro.mobility import Area, RandomWaypoint
-from repro.protocols import RngProtocol
-from repro.sim.config import ScenarioConfig
 from repro.sim.engine import Engine
 from repro.sim.world import NetworkWorld
-from repro.util.errors import ConfigurationError, ScheduleError
-from repro.util.randomness import SeedSequenceFactory
+from repro.util.errors import ScheduleError
 
-MECHANISMS = {
-    "baseline": BaselineConsistency,
-    "view-sync": ViewSynchronization,
-    "proactive": ProactiveConsistency,
-    "reactive": ReactiveConsistency,
-    "weak": WeakConsistency,
+MECHANISMS = ("baseline", "view-sync", "proactive", "reactive", "weak")
+
+#: recorded-digest key -> (spec, seed) for every twin scenario below
+ROUTE_TWINS = {
+    **{
+        f"hello-batch/ideal/{mechanism}/{seed}": (spec_for(mechanism), seed)
+        for mechanism in MECHANISMS
+        for seed in (101, 202)
+    },
+    **{
+        f"hello-batch/loss-{loss}/{mechanism}": (
+            spec_for(mechanism, hello_loss_rate=loss), 303
+        )
+        for mechanism in ("baseline", "proactive", "weak")
+        for loss in (0.1, 0.3)
+    },
+    **{
+        f"hello-batch/collisions/{seed}": (
+            spec_for("view-sync", hello_tx_duration=0.05), seed
+        )
+        for seed in (404, 505)
+    },
+    "hello-batch/snapshots": (spec_for("view-sync", duration=6.0), 11),
 }
 
 
-def _config(**overrides) -> ScenarioConfig:
-    base = dict(
-        n_nodes=10,
-        area=Area(300.0, 300.0),
-        normal_range=150.0,
-        duration=5.0,
-        sample_rate=2.0,
-        warmup=1.0,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def _world(cfg: ScenarioConfig, mechanism: str, seed: int, pipeline: str) -> NetworkWorld:
-    """One world; twin calls with different *pipeline* share everything else."""
-    seeds = SeedSequenceFactory(seed)
-    mobility = RandomWaypoint(
-        cfg.area, cfg.n_nodes, cfg.duration, mean_speed=8.0, rng=seeds.rng("m")
-    )
-    manager = MobilitySensitiveTopologyControl(
-        RngProtocol(),
-        mechanism=MECHANISMS[mechanism](),
-        buffer_policy=BufferZonePolicy(width=20.0, cap=cfg.normal_range),
-    )
-    return NetworkWorld(
-        cfg, mobility, manager, seed=seed, hello_pipeline=pipeline
-    )
-
-
-def _assert_twins_identical(batched: NetworkWorld, scalar: NetworkWorld) -> None:
-    """Every decision-relevant observable must match bit-for-bit.
-
-    Table uids are process-global and differ between any two worlds, so
-    tokens are compared component-wise past the uid.
-    """
-    assert batched._batched and not scalar._batched
-    now = batched.engine.now
-    assert now == scalar.engine.now
-    assert batched.channel.stats.as_dict() == scalar.channel.stats.as_dict()
-    for nb, ns in zip(batched.nodes, scalar.nodes):
-        tb, ts = nb.table, ns.table
-        assert nb.hellos_sent == ns.hellos_sent
-        assert tb.mutations == ts.mutations
-        assert tb.hellos_received == ts.hellos_received
-        assert tb.full_token()[1:] == ts.full_token()[1:]
-        assert tb.live_view_token(now)[1:] == ts.live_view_token(now)[1:]
-        assert tb.known_neighbors() == ts.known_neighbors()
-        assert tb.known_neighbors(now) == ts.known_neighbors(now)
-        for neighbor in tb.known_neighbors():
-            # Hello is a frozen value type: materialised columnar copies
-            # must compare equal to the scalar deque contents, in order.
-            assert tb.history_of(neighbor) == ts.history_of(neighbor)
-            assert tb.message_versions_in_use(neighbor) == ts.message_versions_in_use(neighbor)
-        assert tb.own_history == ts.own_history
+def _assert_matches_scalar_route(prefix: str) -> None:
+    recorded = recorded_digests("twins")
+    keys = [key for key in ROUTE_TWINS if key.startswith(prefix)]
+    assert keys
+    for key in keys:
+        spec, seed = ROUTE_TWINS[key]
+        assert route_digest(spec, seed) == recorded[key], key
 
 
 class TestBatchedScalarBitIdentity:
-    @settings(max_examples=8, deadline=None)
-    @given(
-        mechanism=st.sampled_from(sorted(MECHANISMS)),
-        seed=st.integers(0, 2**16),
-    )
-    def test_ideal_channel(self, mechanism, seed):
-        cfg = _config()
-        batched = _world(cfg, mechanism, seed, "batched")
-        scalar = _world(cfg, mechanism, seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        _assert_twins_identical(batched, scalar)
+    def test_ideal_channel(self):
+        _assert_matches_scalar_route("hello-batch/ideal/")
 
-    @settings(max_examples=6, deadline=None)
-    @given(
-        mechanism=st.sampled_from(["baseline", "proactive", "weak"]),
-        seed=st.integers(0, 2**16),
-        loss=st.sampled_from([0.1, 0.3]),
-    )
-    def test_lossy_channel_consumes_rng_identically(self, mechanism, seed, loss):
+    def test_lossy_channel_consumes_rng_identically(self):
         # The i.i.d. loss model draws one uniform per candidate receiver,
-        # positionally: identical receiver arrays are the only way the twin
-        # runs can agree on losses, deliveries and every downstream view.
-        cfg = _config(hello_loss_rate=loss)
-        batched = _world(cfg, mechanism, seed, "batched")
-        scalar = _world(cfg, mechanism, seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        assert batched.channel.stats.hello_losses > 0
-        _assert_twins_identical(batched, scalar)
+        # positionally: identical receiver arrays are the only way the
+        # pipeline can agree with the recorded losses, deliveries and
+        # every downstream view.
+        _assert_matches_scalar_route("hello-batch/loss-")
 
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 2**16))
-    def test_collision_model(self, seed):
-        cfg = _config(hello_tx_duration=0.05)
-        batched = _world(cfg, "view-sync", seed, "batched")
-        scalar = _world(cfg, "view-sync", seed, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        _assert_twins_identical(batched, scalar)
+    def test_collision_model(self):
+        _assert_matches_scalar_route("hello-batch/collisions/")
 
     def test_snapshots_and_decisions_agree(self):
-        cfg = _config(duration=6.0)
-        batched = _world(cfg, "view-sync", 11, "batched")
-        scalar = _world(cfg, "view-sync", 11, "scalar")
-        batched.run_until(cfg.duration)
-        scalar.run_until(cfg.duration)
-        sb, ss = batched.snapshot(), scalar.snapshot()
-        assert np.array_equal(sb.positions, ss.positions)
-        assert np.array_equal(sb.extended_ranges, ss.extended_ranges)
-        assert np.array_equal(sb.logical, ss.logical)
+        _assert_matches_scalar_route("hello-batch/snapshots")
 
 
 class TestPipelineDispatch:
-    def test_auto_is_batched_without_faults(self):
-        world = _world(_config(), "baseline", 1, "auto")
-        assert world._batched
-        assert all(isinstance(n.table, ColumnarNeighborTable) for n in world.nodes)
-
-    def test_auto_routes_scalar_when_faults_armed(self):
-        cfg = _config()
-        seeds = SeedSequenceFactory(2)
-        mobility = RandomWaypoint(
-            cfg.area, cfg.n_nodes, cfg.duration, mean_speed=8.0, rng=seeds.rng("m")
-        )
-        schedule = FaultSchedule(events=(NodeOutage(node=0, start=1.0, end=3.0),))
-        world = NetworkWorld(
-            cfg,
-            mobility,
-            MobilitySensitiveTopologyControl(RngProtocol()),
-            seed=2,
-            faults=schedule,
-        )
-        assert not world._batched
-        assert all(type(n.table) is NeighborTable for n in world.nodes)
-        world.run_until(cfg.duration)  # the forced-scalar route still runs
-        assert world.fault_stats()["fault_suppressed_sends"] > 0
-        assert world.hello_pipeline_stats() == {}
-
-    def test_batched_with_faults_is_a_configuration_error(self):
-        cfg = _config()
-        seeds = SeedSequenceFactory(3)
-        mobility = RandomWaypoint(
-            cfg.area, cfg.n_nodes, cfg.duration, mean_speed=8.0, rng=seeds.rng("m")
-        )
-        schedule = FaultSchedule(events=(NodeOutage(node=0, start=1.0, end=3.0),))
-        with pytest.raises(ConfigurationError, match="fault"):
-            NetworkWorld(
-                cfg,
-                mobility,
-                MobilitySensitiveTopologyControl(RngProtocol()),
-                seed=3,
-                faults=schedule,
-                hello_pipeline="batched",
-            )
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ConfigurationError, match="hello_pipeline"):
-            _world(_config(), "baseline", 1, "vectorised")
+    """Every world, faulted or not, runs the one Hello pipeline."""
 
     def test_pipeline_stats_reported_on_batched_route(self):
-        world = _world(_config(), "baseline", 4, "batched")
+        world = build_world(spec_for("baseline"), 4)
         world.run_until(3.0)
         stats = world.hello_pipeline_stats()
         assert stats["oracle_queries"] > 0
         assert stats["oracle_rebuilds"] >= 1
         assert stats["neighbor_slots"] > 0
+
+    def test_faulted_world_runs_the_pipeline(self):
+        schedule = FaultSchedule(events=(NodeOutage(node=0, start=1.0, end=3.0),))
+        world = build_world(spec_for("baseline"), 2, faults=schedule)
+        world.run_until(5.0)
+        assert world.fault_stats()["fault_suppressed_sends"] > 0
+        assert world.fault_stats()["fault_blocked_receptions"] > 0
+        assert world.hello_pipeline_stats()["oracle_queries"] > 0
+
+    def test_construction_compiles_no_trajectories(self):
+        world = build_world(spec_for("baseline"), 3)
+        assert world.mobility._trajectories is None
+        world.run_until(1.0)
+        assert world.mobility._trajectories is not None
 
 
 class TestDropCollidedBoundary:
@@ -222,7 +114,7 @@ class TestDropCollidedBoundary:
 
     @staticmethod
     def _world(window: float) -> NetworkWorld:
-        return _world(_config(hello_tx_duration=window), "baseline", 5, "scalar")
+        return build_world(spec_for("baseline", hello_tx_duration=window), 5)
 
     def test_entry_exactly_at_window_edge_still_on_air(self):
         world = self._world(0.1)
@@ -309,6 +201,25 @@ class TestNeighborState:
             state.record_one(0, _hello(sender, 0, 1.0))
         assert state.live_ids(0, now=2.0, expiry=2.5) == (7, 3, 5)
         assert list(state.latest_live(0, 2.0, 2.5)) == [7, 3, 5]
+
+    def test_newest_versions_per_receiver(self):
+        state = NeighborState(4, 2)
+        state.record_batch(_hello(1, 3, 1.0), np.array([0, 2], dtype=np.intp))
+        state.record_one(2, _hello(1, 5, 2.0))
+        receivers = np.array([0, 1, 2, 3], dtype=np.intp)
+        assert state.newest_versions(1, receivers).tolist() == [
+            3, NO_VERSION, 5, NO_VERSION
+        ]
+        assert state.prune(2, now=10.0, expiry=2.5)
+        assert state.newest_versions(1, receivers[2:3]).tolist() == [NO_VERSION]
+
+    def test_storage_grows_past_initial_capacity(self):
+        state = NeighborState(1, 2)  # room for 16 slots before the first growth
+        for sender in range(1, 40):
+            state.record_one(0, _hello(sender, sender, 1.0))
+        assert state.n_slots == 39
+        assert [h.version for h in state.history(0, 17)] == [17]
+        assert list(state.latest_live(0, 1.0, 2.5)) == list(range(1, 40))
 
 
 class TestScheduleBatch:

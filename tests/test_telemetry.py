@@ -694,10 +694,14 @@ class TestCacheCounterIdentity:
 
 
 class TestBatchedPipelineTelemetry:
-    """Per-batch hello_received aggregation keeps totals exactly equal."""
+    """Per-batch aggregation keeps totals exactly equal.
+
+    The expected totals were recorded from the historical scalar
+    per-receiver Hello route, which logged one event per reception.
+    """
 
     @staticmethod
-    def _run(pipeline: str) -> Telemetry:
+    def _run(faults=None) -> Telemetry:
         from repro.core.manager import MobilitySensitiveTopologyControl
         from repro.mobility import RandomWaypoint
         from repro.protocols import RngProtocol
@@ -716,22 +720,62 @@ class TestBatchedPipelineTelemetry:
         tel = Telemetry()
         world = NetworkWorld(
             cfg, mobility, MobilitySensitiveTopologyControl(RngProtocol()),
-            seed=9, telemetry=tel, hello_pipeline=pipeline,
+            seed=9, telemetry=tel, faults=faults,
         )
         world.run_until(cfg.duration)
         return tel
 
     def test_kind_counts_match_scalar_route_exactly(self):
-        batched, scalar = self._run("batched"), self._run("scalar")
-        assert batched.events.kind_counts() == scalar.events.kind_counts()
-        b, s = batched.registry.counters_dict(), scalar.registry.counters_dict()
-        # One batch event stands in for n receptions, so the engine event
-        # count legitimately differs; every traffic counter must not.
-        for key in ("hello_sent", "hello_received"):
-            assert b[key] == s[key]
+        tel = self._run()
+        assert tel.events.kind_counts() == {
+            "decision_cache_miss": 73,
+            "hello_received": 425,
+            "hello_sent": 73,
+            "range_change": 73,
+        }
+        counters = tel.registry.counters_dict()
+        assert (counters["hello_sent"], counters["hello_received"]) == (73, 425)
+
+    def test_fault_kind_counts_match_scalar_route_exactly(self):
+        from repro.faults.schedule import (
+            DeliveryDelay,
+            FaultSchedule,
+            HelloLossBurst,
+            NodeOutage,
+        )
+
+        tel = self._run(FaultSchedule(events=(
+            NodeOutage(node=3, start=1.0, end=3.0),
+            DeliveryDelay(start=0.5, end=5.0, delay=1.4, senders=(0, 1, 2, 5)),
+            HelloLossBurst(start=2.0, end=4.0, probability=0.5),
+        )))
+        # One summarizing fault event per delivery batch still advances
+        # the per-kind total once per blocked, stale or delayed delivery.
+        assert tel.events.kind_counts() == {
+            "decision_cache_miss": 71,
+            "fault": 131,
+            "hello_dropped": 22,
+            "hello_received": 315,
+            "hello_sent": 71,
+            "range_change": 71,
+        }
+        counters = tel.registry.counters_dict()
+        counters.pop("engine_events")  # one heap entry per batch, not per delivery
+        assert counters == {
+            "decision_cache{outcome=miss}": 71,
+            "fault_events{action=blocked_receptions}": 8,
+            "fault_events{action=delayed_deliveries}": 89,
+            "fault_events{action=hello_drops}": 67,
+            "fault_events{action=stale_discards}": 10,
+            "fault_events{action=suppressed_sends}": 2,
+            "hello_dropped{reason=fault}": 67,
+            "hello_received": 315,
+            "hello_sent": 71,
+            "range_changes": 71,
+        }
 
     def test_batched_receptions_are_summarized_not_per_receiver(self):
-        tel = self._run("batched")
+        tel = self._run()
         received = [e for e in tel.events if e.kind == "hello_received"]
         assert received  # retained summaries exist...
         # ...and each carries its receiver count; with no ring eviction in
