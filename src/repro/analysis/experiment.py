@@ -9,10 +9,10 @@ confidence intervals — the paper's reporting protocol (20 repetitions,
 10 samples/s, 95 % CIs).
 
 Repetitions are embarrassingly parallel (independent seeds, independent
-worlds); pass ``workers > 1`` to fan them out over processes.  Specs are
-plain picklable dataclasses, and each worker runs one complete simulation,
-so the parallel efficiency is essentially linear until the machine runs
-out of cores.
+worlds).  Every batch of them runs through the campaign orchestrator
+(:func:`run_spec_batch`): pass ``workers > 1`` to fan the units out over
+worker processes.  Each worker runs complete simulations, so the parallel
+efficiency is essentially linear until the machine runs out of cores.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +41,7 @@ from repro.sim.flood import flood
 from repro.sim.world import NetworkWorld
 from repro.telemetry.core import Telemetry, TelemetrySummary
 from repro.telemetry.runtime import current_telemetry
-from repro.util.errors import WorkUnitError
+from repro.util.errors import OrchestrationError, WorkUnitError
 from repro.util.randomness import SeedSequenceFactory
 from repro.util.validate import check_int_range, check_non_negative
 
@@ -54,6 +53,7 @@ __all__ = [
     "run_once",
     "run_repetitions",
     "run_repetitions_many",
+    "run_spec_batch",
     "aggregate_runs",
 ]
 
@@ -247,12 +247,9 @@ def build_world(
 class RunStats:
     """Typed per-run counters: channel, decision cache, faults, telemetry.
 
-    The typed replacement for the free-form ``channel_stats`` dict —
-    every counter the run produced, as a named field with a fixed type.
-    :meth:`as_dict` reproduces the legacy dict shape exactly (``fault_*``
-    keys present only when a schedule was armed, telemetry excluded), so
-    existing dict-shaped consumers keep working through the deprecated
-    :attr:`RunResult.channel_stats` view.
+    Every counter the run produced, as a named field with a fixed type.
+    :meth:`as_dict` gives the flat dict shape (``fault_*`` keys present
+    only when a schedule was armed, telemetry excluded).
 
     Attributes
     ----------
@@ -323,10 +320,10 @@ class RunStats:
         )
 
     def as_dict(self) -> dict[str, int]:
-        """Legacy ``channel_stats`` dict shape (bit-compatible).
+        """Flat counter dict.
 
-        ``fault_*`` keys appear only when a schedule was armed, exactly
-        as the pre-typed dict behaved; ``propagation`` /
+        ``fault_*`` keys appear only when a schedule was armed;
+        ``propagation`` /
         ``propagation_losses`` only when the run used a non-unit-disk
         model; the telemetry summary is not a counter and is excluded.
         """
@@ -377,9 +374,7 @@ class RunResult:
 
     ``stats`` is the typed :class:`RunStats` record — channel message
     counters, the manager's decision-cache counters, fault-injection
-    counters, and (when the run was traced) the telemetry summary.  The
-    pre-1.1 free-form dict is still reachable through the deprecated
-    :attr:`channel_stats` property.
+    counters, and (when the run was traced) the telemetry summary.
     """
 
     spec: ExperimentSpec
@@ -391,18 +386,6 @@ class RunResult:
     mean_physical_degrees: np.ndarray
     strict_connected: np.ndarray
     stats: RunStats
-
-    @property
-    def channel_stats(self) -> dict:
-        """Deprecated dict view of :attr:`stats` (use the typed fields)."""
-        warnings.warn(
-            "RunResult.channel_stats is deprecated and will be removed in "
-            "repro 2.0; use RunResult.stats (typed RunStats) — .as_dict() "
-            "reproduces this dict exactly",
-            FutureWarning,
-            stacklevel=2,
-        )
-        return self.stats.as_dict()
 
     @property
     def connectivity_ratio(self) -> float:
@@ -522,28 +505,6 @@ class AggregateResult:
         }
 
 
-def _run_once_star(args: tuple[ExperimentSpec, int, bool]) -> RunResult:
-    """Top-level helper so ProcessPoolExecutor can pickle the call.
-
-    Failures are wrapped in :class:`~repro.util.errors.WorkUnitError`
-    naming the failing ``(spec, seed)`` unit, so the parent sees which
-    repetition died instead of a bare pickled traceback.  When
-    *collect_telemetry* is set, the run is traced with a process-local
-    collector and the frozen summary rides back on ``result.stats`` for
-    the parent to merge (see :meth:`repro.telemetry.Telemetry.absorb`).
-    """
-    spec, seed, collect_telemetry = args
-    telemetry = Telemetry() if collect_telemetry else None
-    try:
-        return run_once(spec, seed=seed, telemetry=telemetry)
-    except WorkUnitError:
-        raise
-    except Exception as exc:
-        raise WorkUnitError(
-            spec.describe(), seed, f"{type(exc).__name__}: {exc}"
-        ) from exc
-
-
 def default_workers() -> int:
     """Worker count from ``REPRO_WORKERS`` (default 1 = sequential)."""
     raw = os.environ.get("REPRO_WORKERS", "1")
@@ -581,6 +542,51 @@ def aggregate_runs(
     )
 
 
+def run_spec_batch(
+    specs: list[ExperimentSpec],
+    repetitions: int,
+    base_seed: int = 1000,
+    workers: int | None = None,
+) -> list[list[RunResult]]:
+    """Run *repetitions* seeds of every spec; one seed-ordered list per spec.
+
+    The one execution path of every repetition batch.  Seeds are
+    ``base_seed + i`` per spec.  When an
+    :class:`~repro.orchestrator.OrchestrationContext` is ambient (see
+    :func:`repro.orchestrator.use_orchestrator`), the batch runs through
+    it: completed units are loaded from its
+    :class:`~repro.orchestrator.RunStore`, failures are retried and
+    quarantined per unit, and fresh results are persisted incrementally.
+    Otherwise a store-less context with *workers* (default
+    ``REPRO_WORKERS``) and no retries runs it, and the first quarantined
+    unit is re-raised as :class:`~repro.util.errors.WorkUnitError`
+    naming its spec and seed.  Results are bit-identical either way, at
+    any worker count.
+    """
+    check_int_range("repetitions", repetitions, 1)
+    orchestrator = current_orchestrator()
+    if orchestrator is not None:
+        return orchestrator.run_spec_batch(specs, repetitions, base_seed)
+    from repro.orchestrator.runner import OrchestrationContext
+
+    workers = default_workers() if workers is None else max(1, int(workers))
+    context = OrchestrationContext(workers=workers, retries=0)
+    try:
+        grouped = context.run_spec_batch(specs, repetitions, base_seed)
+    except OrchestrationError:
+        if not context.quarantined:
+            raise
+    if context.quarantined:
+        first = context.quarantined[0]
+        # The recorded error is the unit's own WorkUnitError text: keep
+        # its message without repeating the "work unit ... failed" head.
+        prefix = str(WorkUnitError(first.label, first.seed, ""))
+        raise WorkUnitError(
+            first.label, first.seed, first.error.removeprefix(prefix)
+        )
+    return grouped
+
+
 def run_repetitions_many(
     specs: list[ExperimentSpec],
     repetitions: int = 5,
@@ -589,55 +595,17 @@ def run_repetitions_many(
 ) -> list[AggregateResult]:
     """Run *repetitions* seeds of every spec and aggregate each.
 
-    The whole batch — every ``(spec, seed)`` pair — is fanned out at
-    once, so a multi-point sweep keeps all workers busy instead of
-    barriering between sweep points.  Seeds are ``base_seed + i`` per
-    spec, exactly as :func:`run_repetitions` assigns them, so results are
-    bit-identical to per-spec calls at any worker count.
-
-    When an :class:`~repro.orchestrator.OrchestrationContext` is ambient
-    (see :func:`repro.orchestrator.use_orchestrator`), the batch routes
-    through its checkpointed work-unit pipeline instead: completed units
-    are loaded from the :class:`~repro.orchestrator.RunStore`, failures
-    are retried and quarantined per unit, and fresh results are persisted
-    incrementally.
-
-    When an ambient telemetry collector is armed and the batch runs in
-    worker processes, each worker traces its own runs and the parent
-    merges the per-unit summaries into the collector — telemetry no
-    longer forces single-worker execution.
+    The whole batch — every ``(spec, seed)`` pair — goes through
+    :func:`run_spec_batch` at once, so a multi-point sweep keeps all
+    workers busy instead of barriering between sweep points.  Results are
+    bit-identical to per-spec calls at any worker count.  When an ambient
+    telemetry collector is armed, every unit is traced into it (worker
+    processes ship per-unit summaries back) — telemetry works at any
+    worker count.
     """
-    check_int_range("repetitions", repetitions, 1)
-    orchestrator = current_orchestrator()
-    if orchestrator is not None:
-        runs_per_spec = orchestrator.run_spec_batch(specs, repetitions, base_seed)
-        return [
-            aggregate_runs(spec, runs)
-            for spec, runs in zip(specs, runs_per_spec)
-        ]
-    workers = default_workers() if workers is None else max(1, int(workers))
-    telemetry = current_telemetry()
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    parallel = workers > 1 and len(specs) * repetitions > 1
-    collect = telemetry is not None and parallel
-    jobs = [
-        (spec, base_seed + i, collect)
-        for spec in specs
-        for i in range(repetitions)
-    ]
-    if not parallel:
-        runs = [run_once(s, seed=seed) for s, seed, _ in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            runs = list(pool.map(_run_once_star, jobs))
-        if collect:
-            for run in runs:
-                if run.stats.telemetry is not None:
-                    telemetry.absorb(run.stats.telemetry, source=run.seed)
+    runs_per_spec = run_spec_batch(specs, repetitions, base_seed, workers)
     return [
-        aggregate_runs(spec, runs[k * repetitions : (k + 1) * repetitions])
-        for k, spec in enumerate(specs)
+        aggregate_runs(spec, runs) for spec, runs in zip(specs, runs_per_spec)
     ]
 
 

@@ -94,9 +94,10 @@ def _orchestration_parent() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         default=None,
-        help="execution backend: inprocess (synchronous), local "
-        "(fault-contained worker pool; default), queue (work-stealing "
-        "worker processes over the shared --store)",
+        help="execution backend: inprocess (units run in this process), "
+        "queue (work-stealing worker processes over --store, or over a "
+        "private temporary store), local (default: inprocess at one "
+        "worker, queue above)",
     )
     parent.add_argument(
         "--store",
@@ -124,7 +125,8 @@ def _orchestration_parent() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-unit wall-clock bound, enforced inside worker processes",
+        help="per-unit wall-clock bound (SIGALRM), enforced in queue "
+        "worker processes and for in-process units",
     )
     parent.add_argument(
         "--max-units",
@@ -389,25 +391,25 @@ def _with_telemetry(args: argparse.Namespace, fn) -> int:
 
 
 def _with_orchestrator(args: argparse.Namespace, fn) -> int:
-    """Run *fn* under an armed :class:`OrchestrationContext` when asked.
+    """Run *fn* under an ambient :class:`OrchestrationContext`.
 
-    Armed by any of ``--store``, ``--backend``, ``--max-units``,
-    ``--unit-timeout``, or a non-default ``--retries``; otherwise *fn*
-    runs on the plain in-memory fan-out path.  Sweeps reach the context ambiently through
+    Every sweep reaches the context through
     :func:`repro.orchestrator.use_orchestrator`, so figure generators and
-    campaigns need no parameter threading.  Exit code 3 means the unit
-    budget was exhausted (work so far is checkpointed; rerun to continue).
+    campaigns need no parameter threading.  The ``[orchestrator]``
+    summary prints when any of ``--store``, ``--backend``,
+    ``--max-units``, ``--unit-timeout`` or a non-default ``--retries``
+    was given, or a unit was quarantined — so a plain cold run's output
+    carries no orchestration lines.  Exit code 3 means the unit budget
+    was exhausted (work so far is checkpointed; rerun to continue).
     """
     store_path = getattr(args, "store", None)
-    armed = (
+    verbose = (
         store_path is not None
         or getattr(args, "backend", None) is not None
         or getattr(args, "max_units", None) is not None
         or getattr(args, "unit_timeout", None) is not None
         or getattr(args, "retries", 1) != 1
     )
-    if not armed:
-        return fn()
     from repro.analysis.experiment import default_workers
     from repro.orchestrator import OrchestrationContext, RunStore
     from repro.orchestrator.runner import CampaignInterrupted
@@ -428,7 +430,8 @@ def _with_orchestrator(args: argparse.Namespace, fn) -> int:
     try:
         with context:
             code = fn()
-        print(f"\n[orchestrator] {context.summary_line()}")
+        if verbose or context.quarantined:
+            print(f"\n[orchestrator] {context.summary_line()}")
         for quarantined in context.quarantined:
             print(f"[orchestrator] quarantined: {quarantined}")
         return code

@@ -1,42 +1,36 @@
-"""Pluggable execution backends for campaign orchestration.
+"""Execution backends for campaign orchestration.
 
-The :class:`~repro.orchestrator.runner.OrchestrationContext` used to be
-welded to the :class:`~repro.orchestrator.pool.WorkerPool`.  This module
-generalises the execution step behind one small protocol —
-:class:`ExecutionBackend` — with three implementations spanning the
-deployment spectrum:
+The :class:`~repro.orchestrator.runner.OrchestrationContext` hands each
+batch of work units to an :class:`ExecutionBackend`.  There are exactly
+two implementations:
 
 :class:`InProcessBackend`
-    Executes one unit per :meth:`~ExecutionBackend.poll` call, inline,
-    with no threads or processes.  The reference implementation: tests
-    step it deterministically, and cancellation is exact (nothing is in
-    flight between polls).
-
-:class:`LocalPoolBackend`
-    Wraps today's fault-contained :class:`WorkerPool` (per-unit SIGALRM
-    timeout, bounded retry, quarantine, broken-pool rebuild) unchanged,
-    running it on a feeder thread so the caller keeps a poll/cancel
-    handle.  This is the default backend — ``workers == 1`` reproduces
-    the historical inline behaviour bit for bit.
+    Executes one unit per :meth:`~ExecutionBackend.poll` call in the
+    calling thread, with no threads or processes.  Tests step it
+    deterministically, cancellation between polls is exact, and traced
+    units hand their live collector (full event stream) to the context.
 
 :class:`QueueBackend`
-    Multi-worker work-stealing over a shared :class:`RunStore`: worker
-    processes claim pending units by content-hash ID under a lease
-    (schema v2), execute them, and record outcomes straight into the
-    store.  Stalled or crashed workers lose their leases and other
-    workers reclaim the units, so the campaign converges regardless of
-    which worker dies.  Results remain bit-identical to a cold run —
-    seeds, not schedulers, define every simulation.
+    Worker processes claim pending units by content-hash ID under a
+    lease (store schema v2), execute them, and record outcomes straight
+    into a :class:`RunStore` — the campaign's, or a private temporary
+    store when the campaign has none.  A crashed worker's leases are
+    released as soon as the parent reaps it; a stalled one's expire and
+    other workers reclaim the units.  Results remain bit-identical to a
+    cold run — seeds, not schedulers, define every simulation.
 
-Backends are registered by name (``available_backends`` /
-``make_backend``) so the CLI ``--backend`` flag, the HTTP service, and
-``repro.api.submit_campaign`` all share one taxonomy.
+The registry (``available_backends`` / ``make_backend``) also knows
+``local``, the default of the CLI, the service and
+``repro.api.submit_campaign``: it selects ``inprocess`` at one worker
+and ``queue`` above one.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import queue
+import shutil
+import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -44,8 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.orchestrator.pool import WorkerPool
 from repro.orchestrator.store import RunStore
+from repro.telemetry.core import Telemetry
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -53,11 +47,14 @@ __all__ = [
     "UnitOutcome",
     "ExecutionBackend",
     "InProcessBackend",
-    "LocalPoolBackend",
     "QueueBackend",
     "available_backends",
     "make_backend",
 ]
+
+#: Seconds between an idle queue process's checks for another
+#: connection's commit (``PRAGMA data_version``, a cheap read).
+_IDLE_POLL_S = 0.01
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,9 @@ class UnitOutcome:
     """One finished unit as reported by a backend.
 
     Either ``result`` (the JSON-ready result document) or ``error`` (the
-    final failure string after retries) is set, never both.
+    final failure string after retries) is set, never both.  ``trace``
+    is the live collector of a traced in-process unit, which the context
+    merges (events included) instead of absorbing the result's summary.
     """
 
     unit_id: str
@@ -89,6 +88,7 @@ class UnitOutcome:
     attempts: int
     result: dict | None = None
     error: str | None = None
+    trace: Telemetry | None = None
 
 
 class ExecutionBackend(ABC):
@@ -136,20 +136,20 @@ class ExecutionBackend(ABC):
 
 
 class InProcessBackend(ExecutionBackend):
-    """Synchronous reference backend: one unit per :meth:`poll` call.
+    """Synchronous backend: one unit per :meth:`poll` call.
 
-    No threads, no processes, no timeout enforcement — execution happens
-    inside ``poll`` itself, so tests can single-step a campaign and
-    cancellation between polls is exact.  Retry/quarantine semantics
-    match the :class:`WorkerPool` inline path.
+    No threads, no processes — execution happens inside ``poll`` itself,
+    on the calling thread, so tests can single-step a campaign and
+    cancellation between polls is exact.  A failing unit is retried up to
+    ``retries`` extra times, then reported as quarantined.  The per-unit
+    timeout is enforced only when the calling thread is the main thread
+    (see :func:`~repro.orchestrator.runner.install_unit_timeout`).
     """
 
-    def __init__(self, retries: int = 1, backoff: float = 0.0) -> None:
-        from repro.orchestrator.runner import execute_unit
-
-        self._execute = execute_unit
+    def __init__(self, retries: int = 1) -> None:
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.retries = int(retries)
-        self.backoff = float(backoff)
         self._pending: deque[tuple[str, dict]] = deque()
         self._cancelled = False
 
@@ -158,23 +158,24 @@ class InProcessBackend(ExecutionBackend):
             self._pending.extend(payloads.items())
 
     def poll(self, timeout: float = 0.1) -> list[UnitOutcome]:
+        from repro.orchestrator.runner import execute_unit
+
         if self._cancelled or not self._pending:
             return []
         uid, payload = self._pending.popleft()
         attempts = 0
         while True:
             attempts += 1
+            trace = Telemetry() if payload.get("telemetry") else None
             try:
-                result = self._execute(payload)
+                result = execute_unit(payload, telemetry=trace)
             except Exception as exc:
                 if attempts <= self.retries:
-                    if self.backoff:
-                        time.sleep(self.backoff * attempts)
                     continue
                 return [UnitOutcome(uid, ok=False, attempts=attempts,
                                     error=str(exc))]
             return [UnitOutcome(uid, ok=True, attempts=attempts,
-                                result=result)]
+                                result=result, trace=trace)]
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -191,112 +192,84 @@ class InProcessBackend(ExecutionBackend):
 
 
 # --------------------------------------------------------------------- #
+# QueueBackend: work-stealing worker processes over a RunStore
 
 
-class LocalPoolBackend(ExecutionBackend):
-    """The :class:`WorkerPool` behind the backend protocol (default).
+def _payload_unit(spec_json: str, seed: int):
+    """Rebuild the WorkUnit a payload or store row was made from."""
+    from repro.analysis.experiment import ExperimentSpec
+    from repro.orchestrator.units import WorkUnit
 
-    ``pool.run`` executes on a feeder thread whose callbacks push
-    :class:`UnitOutcome` objects onto a queue the caller drains via
-    :meth:`poll`; :meth:`cancel` trips the pool's cooperative
-    ``should_stop`` probe.  All fault-containment behaviour (per-unit
-    timeout, retry with backoff, quarantine, broken-pool rebuild) is the
-    pool's, unchanged.
+    return WorkUnit(
+        spec=ExperimentSpec.from_json(spec_json), seed=seed, spec_json=spec_json
+    )
+
+
+def _claim_and_run(
+    store: RunStore,
+    owner: str,
+    batch: frozenset[str],
+    unit_timeout: float | None,
+    telemetry: bool,
+    retries: int,
+    lease_seconds: float,
+) -> bool:
+    """Claim one pending unit of *batch*, execute it, record the outcome.
+
+    Returns False when nothing was claimable.  A failure within the retry
+    budget releases the lease so any worker (this one included) can
+    reclaim the unit; past the budget the unit is quarantined.  While the
+    unit runs, a heartbeat thread keeps its lease alive over its own
+    store connection (SQLite connections are bound to their thread).
     """
+    from repro.orchestrator.runner import execute_unit
 
-    def __init__(
-        self,
-        workers: int = 1,
-        retries: int = 1,
-        backoff: float = 0.05,
-    ) -> None:
-        from repro.orchestrator.runner import execute_unit
+    max_attempts = retries + 1
+    claimed = store.claim_units(
+        owner, limit=1, lease_seconds=lease_seconds,
+        max_attempts=max_attempts, among=batch,
+    )
+    if not claimed:
+        return False
+    row = claimed[0]
+    unit = _payload_unit(row.spec_json, row.seed)
+    payload = {
+        "spec_json": row.spec_json,
+        "seed": row.seed,
+        "timeout": unit_timeout,
+        "telemetry": telemetry,
+    }
+    beat_done = threading.Event()
 
-        self._execute = execute_unit
-        self.workers = int(workers)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self._outcomes: queue.Queue[UnitOutcome] = queue.Queue()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._submitted = 0
-        self._reported = 0
+    def _beat() -> None:
+        beat_store = None
+        while not beat_done.wait(lease_seconds / 3.0):
+            beat_store = beat_store or RunStore(store.path)
+            beat_store.heartbeat(owner, [row.unit_id], lease_seconds)
+        if beat_store is not None:
+            beat_store.close()
 
-    def submit_units(self, payloads: dict[str, dict]) -> None:
-        if self._thread is not None:
-            raise ConfigurationError(
-                "LocalPoolBackend serves one batch per instance"
-            )
-        self._submitted = len(payloads)
-        pool = WorkerPool(
-            self._execute,
-            workers=self.workers,
-            retries=self.retries,
-            backoff=self.backoff,
-            should_stop=self._stop.is_set,
-        )
-
-        def on_result(uid: str, result: dict, attempts: int) -> None:
-            self._outcomes.put(
-                UnitOutcome(uid, ok=True, attempts=attempts, result=result)
-            )
-
-        def on_failure(uid: str, error: str, attempts: int) -> None:
-            self._outcomes.put(
-                UnitOutcome(uid, ok=False, attempts=attempts, error=error)
-            )
-
-        self._thread = threading.Thread(
-            target=pool.run,
-            args=(dict(payloads), on_result, on_failure),
-            name="repro-local-pool",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def poll(self, timeout: float = 0.1) -> list[UnitOutcome]:
-        out: list[UnitOutcome] = []
-        try:
-            out.append(self._outcomes.get(timeout=timeout))
-            while True:
-                out.append(self._outcomes.get_nowait())
-        except queue.Empty:
-            pass
-        self._reported += len(out)
-        return out
-
-    def cancel(self) -> None:
-        self._stop.set()
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name="local", parallel=self.workers > 1,
-            supports_cancel=True, writes_store=False,
-        )
-
-    def done(self) -> bool:
-        if self._thread is None:
-            return True
-        if self._reported >= self._submitted:
-            return True
-        # The feeder thread exits early on cancel (or after quarantining
-        # everything); once it is gone and the queue is drained, we are
-        # as done as we will ever be.
-        return not self._thread.is_alive() and self._outcomes.empty()
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-
-
-# --------------------------------------------------------------------- #
-# QueueBackend: work-stealing workers over a shared RunStore
+    beater = threading.Thread(target=_beat, daemon=True)
+    beater.start()
+    try:
+        document = execute_unit(payload)
+    except Exception as exc:
+        if row.attempts >= max_attempts:
+            store.record_quarantine(unit, str(exc), attempts=row.attempts)
+        else:
+            store.release_unit(row.unit_id)
+    else:
+        store.record_result(unit, document, attempts=row.attempts)
+    finally:
+        beat_done.set()
+        beater.join(timeout=5.0)
+    return True
 
 
 def _queue_worker_main(
     store_path: str,
     owner: str,
+    batch: frozenset[str],
     unit_timeout: float | None,
     telemetry: bool,
     retries: int,
@@ -304,90 +277,55 @@ def _queue_worker_main(
 ) -> None:
     """Worker process body: claim → execute → record, until drained.
 
-    Runs against its *own* store connection (never the parent's).  On a
-    unit failure within the retry budget the lease is released so any
-    worker (this one included) can reclaim it; past the budget the unit
-    is quarantined.  A worker that dies mid-unit simply lets its lease
-    expire — :meth:`RunStore.claim_units` hands the unit to someone else
-    and quarantines it once it has burned ``retries + 1`` claims.
+    Runs against its *own* store connection (never the parent's) and
+    only claims units of its *batch*, so a shared store's other pending
+    rows (another campaign's, or ones a unit budget left out) are never
+    touched.  While nothing is claimable but batch units are still
+    pending — leased by live workers — it lingers, looking again as soon
+    as another connection commits (a released unit, a cancel, the last
+    result) and every quarter lease (to steal expired leases); it exits
+    once none is pending.
     """
-    from repro.orchestrator.runner import execute_unit
-
     store = RunStore(store_path)
-    max_attempts = retries + 1
+    seen, next_look = None, 0.0
     try:
         while True:
+            version = store.data_version()
+            if version == seen and time.monotonic() < next_look:
+                time.sleep(_IDLE_POLL_S)
+                continue
+            seen, next_look = version, time.monotonic() + lease_seconds / 4.0
             if store.cancel_requested():
                 return
-            claimed = store.claim_units(
-                owner, limit=1, lease_seconds=lease_seconds,
-                max_attempts=max_attempts,
-            )
-            if not claimed:
-                # Nothing claimable right now.  Exit only once the
-                # pending pool is empty; otherwise some other worker
-                # holds live leases — linger so this worker can steal
-                # them if that worker stalls and the leases expire.
-                if store.counts().get("pending", 0) == 0:
-                    return
-                time.sleep(min(1.0, lease_seconds / 4.0))
-                continue
-            row = claimed[0]
-            payload = {
-                "spec_json": row.spec_json,
-                "seed": row.seed,
-                "timeout": unit_timeout,
-                "telemetry": telemetry,
-            }
-            beat_done = threading.Event()
-
-            def _beat() -> None:
-                while not beat_done.wait(lease_seconds / 3.0):
-                    store.heartbeat(owner, [row.unit_id], lease_seconds)
-
-            beater = threading.Thread(target=_beat, daemon=True)
-            beater.start()
-            try:
-                document = execute_unit(payload)
-            except Exception as exc:
-                if row.attempts >= max_attempts:
-                    store.record_quarantine(
-                        _row_unit(row), str(exc), attempts=row.attempts
-                    )
-                else:
-                    store.release_unit(row.unit_id)
-            else:
-                store.record_result(
-                    _row_unit(row), document, attempts=row.attempts
-                )
-            finally:
-                beat_done.set()
-                beater.join(timeout=1.0)
+            if _claim_and_run(
+                store, owner, batch, unit_timeout, telemetry, retries,
+                lease_seconds,
+            ):
+                seen = None  # look again at once for the next unit
+            elif not store.pending(batch):
+                return
     finally:
         store.close()
 
 
-def _row_unit(row):
-    """Rebuild the WorkUnit a store row was registered from."""
-    from repro.analysis.experiment import ExperimentSpec
-    from repro.orchestrator.units import WorkUnit
-
-    return WorkUnit(
-        spec=ExperimentSpec.from_json(row.spec_json),
-        seed=row.seed,
-        spec_json=row.spec_json,
-    )
-
-
 class QueueBackend(ExecutionBackend):
-    """Work-stealing execution over a shared :class:`RunStore`.
+    """Work-stealing execution over a :class:`RunStore`.
 
     ``workers`` processes each run :func:`_queue_worker_main`: claim a
-    pending unit under a lease, execute it, record the outcome directly
-    into the store (``writes_store``), repeat until the queue drains or
-    cancellation is flagged through the store's control table.  The
-    parent's :meth:`poll` watches the store for newly-settled unit IDs
-    and reports them as :class:`UnitOutcome` objects.
+    pending unit of the batch under a lease, execute it, record the
+    outcome directly into the store (``writes_store``), repeat until the
+    batch drains or cancellation is flagged through the store's control
+    table.  The parent's :meth:`poll` reads newly settled batch rows and
+    reports them as :class:`UnitOutcome` objects.
+
+    *store* is the campaign's :class:`RunStore` (or its path); None
+    gives the backend a private temporary store, deleted on
+    :meth:`close`.
+
+    When the parent reaps a crashed worker it releases that worker's
+    leases at once (or quarantines a unit whose claims are spent), so a
+    crash costs the unit one attempt, not a lease expiry; it then
+    respawns a replacement while ``respawn_budget`` lasts.
 
     ``workers=0`` is the *inline drain* mode: ``poll`` runs one
     claim-execute-record cycle in the calling process — the exact worker
@@ -409,18 +347,16 @@ class QueueBackend(ExecutionBackend):
         unit_timeout: float | None = None,
         respawn_budget: int | None = None,
     ) -> None:
-        if store is None:
-            raise ConfigurationError(
-                "QueueBackend needs a RunStore (or its path): the shared "
-                "store IS the work queue — pass --store/store="
-            )
-        self._store = store if isinstance(store, RunStore) else RunStore(store)
-        if not isinstance(store, RunStore):
-            self._owns_store = True
-        else:
-            self._owns_store = False
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        self._temp_dir: str | None = None
+        if store is None:
+            self._temp_dir = tempfile.mkdtemp(prefix="repro-queue-")
+            store = Path(self._temp_dir) / "units.db"
+        self._owns_store = not isinstance(store, RunStore)
+        self._store = RunStore(store) if self._owns_store else store
         self.workers = int(workers)
         self.retries = int(retries)
         self.lease_seconds = float(lease_seconds)
@@ -429,124 +365,119 @@ class QueueBackend(ExecutionBackend):
             int(respawn_budget) if respawn_budget is not None
             else max(2, 2 * max(1, self.workers))
         )
-        self._procs: list = []
-        self._watch: dict[str, bool] = {}
+        self._procs: dict[str, object] = {}
+        self._spawned = 0
+        self._batch: frozenset[str] = frozenset()
+        self._unseen: dict[str, None] = {}
+        self._version: int | None = None
         self._telemetry = False
         self._cancelled = False
 
     # ---------------------------------------------------------------- #
 
     def submit_units(self, payloads: dict[str, dict]) -> None:
-        # Units are already registered as pending rows by the context;
-        # the store is the queue, so submission is just bookkeeping plus
-        # worker spawn.  Per-batch execution knobs ride on the backend.
-        for uid, payload in payloads.items():
-            self._watch.setdefault(uid, False)
+        if self._cancelled or not payloads:
+            return
+        # The store is the queue: register the batch (a no-op for rows
+        # the campaign already registered), put settled rows the context
+        # wants re-executed back to pending, and let workers loose.
+        self._store.register(
+            [_payload_unit(p["spec_json"], p["seed"]) for p in payloads.values()]
+        )
+        self._store.requeue(list(payloads))
+        self._store.set_control("cancel", "0")
+        self._batch = frozenset(payloads)
+        self._unseen.update(dict.fromkeys(payloads))
+        for payload in payloads.values():
             self._telemetry = bool(payload.get("telemetry"))
             if payload.get("timeout") is not None:
                 self.unit_timeout = payload["timeout"]
-        if self.workers > 0 and not self._procs:
-            self._spawn(self.workers)
+        if self.workers > 0:
+            self._spawn(min(self.workers, len(payloads)))
 
     def _spawn(self, n: int) -> None:
         import multiprocessing as mp
 
-        for i in range(n):
-            owner = f"worker-{os.getpid()}-{len(self._procs)}"
+        for _ in range(n):
+            owner = f"worker-{os.getpid()}-{id(self):x}-{self._spawned}"
+            self._spawned += 1
             proc = mp.Process(
                 target=_queue_worker_main,
                 args=(
-                    str(self._store.path), owner, self.unit_timeout,
-                    self._telemetry, self.retries, self.lease_seconds,
+                    str(self._store.path), owner, self._batch,
+                    self.unit_timeout, self._telemetry, self.retries,
+                    self.lease_seconds,
                 ),
                 daemon=True,
             )
             proc.start()
-            self._procs.append(proc)
-
-    def _inline_drain_step(self) -> None:
-        """workers=0: run one claim-execute-record cycle in-process."""
-        from repro.orchestrator.runner import execute_unit
-
-        if self._store.cancel_requested():
-            return
-        claimed = self._store.claim_units(
-            f"inline-{os.getpid()}", limit=1,
-            lease_seconds=self.lease_seconds,
-            max_attempts=self.retries + 1,
-        )
-        if not claimed:
-            return
-        row = claimed[0]
-        payload = {
-            "spec_json": row.spec_json,
-            "seed": row.seed,
-            "timeout": self.unit_timeout,
-            "telemetry": self._telemetry,
-        }
-        try:
-            document = execute_unit(payload)
-        except Exception as exc:
-            if row.attempts >= self.retries + 1:
-                self._store.record_quarantine(
-                    _row_unit(row), str(exc), attempts=row.attempts
-                )
-            else:
-                self._store.release_unit(row.unit_id)
-        else:
-            self._store.record_result(
-                _row_unit(row), document, attempts=row.attempts
-            )
+            self._procs[owner] = proc
 
     def poll(self, timeout: float = 0.1) -> list[UnitOutcome]:
         if self.workers == 0:
-            self._inline_drain_step()
-        out = self._collect_settled()
-        if self.workers > 0:
-            self._reap_and_respawn()
-            if not out and not self.done():
-                time.sleep(min(timeout, 0.1))
-                out = self._collect_settled()
-        return out
+            if not self._store.cancel_requested():
+                _claim_and_run(
+                    self._store, f"inline-{os.getpid()}", self._batch,
+                    self.unit_timeout, self._telemetry, self.retries,
+                    self.lease_seconds,
+                )
+                self._version = None
+            return self._collect_settled()
+        self._reap_and_respawn()
+        deadline = time.monotonic() + timeout
+        while True:
+            out = self._collect_settled()
+            if out or self.done() or time.monotonic() >= deadline:
+                return out
+            time.sleep(_IDLE_POLL_S)
 
     def _collect_settled(self) -> list[UnitOutcome]:
-        fresh = [uid for uid, seen in self._watch.items() if not seen]
-        out: list[UnitOutcome] = []
-        if not fresh:
-            return out
-        for row in self._store.units():
-            if row.unit_id not in self._watch or self._watch[row.unit_id]:
-                continue
-            if row.status == "done":
-                import json as _json
+        """Outcomes of batch rows settled since the last collection.
 
-                out.append(
-                    UnitOutcome(
-                        row.unit_id, ok=True, attempts=row.attempts,
-                        result=_json.loads(row.result_json),
-                    )
-                )
-                self._watch[row.unit_id] = True
-            elif row.status == "quarantined":
-                out.append(
-                    UnitOutcome(
-                        row.unit_id, ok=False, attempts=row.attempts,
-                        error=row.error or "quarantined",
-                    )
-                )
-                self._watch[row.unit_id] = True
+        Reads the rows only when another connection has committed since
+        the last read; this backend's own writes (inline drain, reclaim)
+        reset the mark.
+        """
+        version = self._store.data_version()
+        if not self._unseen or version == self._version:
+            return []
+        self._version = version
+        out: list[UnitOutcome] = []
+        for row in self._store.settled(list(self._unseen)):
+            del self._unseen[row.unit_id]
+            if row.status == "done":
+                out.append(UnitOutcome(
+                    row.unit_id, ok=True, attempts=row.attempts,
+                    result=json.loads(row.result_json),
+                ))
+            else:
+                out.append(UnitOutcome(
+                    row.unit_id, ok=False, attempts=row.attempts,
+                    error=row.error or "quarantined",
+                ))
         return out
 
+    def _stopping(self) -> bool:
+        return self._cancelled or self._store.cancel_requested()
+
     def _reap_and_respawn(self) -> None:
-        live = [p for p in self._procs if p.is_alive()]
-        died = len(self._procs) - len(live)
-        self._procs = live
-        if died and not self._cancelled and self.respawn_budget > 0:
-            remaining = any(not seen for seen in self._watch.values())
-            if remaining and not self._store.cancel_requested():
-                n = min(died, self.respawn_budget)
-                self.respawn_budget -= n
-                self._spawn(n)
+        crashed = 0
+        for owner, proc in list(self._procs.items()):
+            if proc.is_alive():
+                continue
+            del self._procs[owner]
+            if proc.exitcode == 0:  # drained, or stopped on cancel
+                continue
+            crashed += 1
+            self._store.reclaim(
+                owner, max_attempts=self.retries + 1,
+                error=f"worker process died (exit code {proc.exitcode})",
+            )
+            self._version = None
+        if crashed and self._unseen and not self._stopping():
+            n = min(crashed, self.respawn_budget)
+            self.respawn_budget -= n
+            self._spawn(n)
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -554,63 +485,73 @@ class QueueBackend(ExecutionBackend):
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
-            name="queue", parallel=self.workers != 1,
+            name="queue", parallel=self.workers > 1,
             supports_cancel=True, writes_store=True,
         )
 
     def done(self) -> bool:
-        if all(self._watch.values()):
+        if not self._unseen:
             return True
-        if self._cancelled:
-            return not any(p.is_alive() for p in self._procs)
         if self.workers == 0:
-            # Inline mode is done when nothing is claimable any more
-            # (cancelled, or every watched unit settled — handled above).
-            return self._store.cancel_requested()
-        if any(p.is_alive() for p in self._procs):
+            return self._stopping()
+        if any(proc.is_alive() for proc in self._procs.values()):
             return False
-        # No live workers and unsettled units remain: done only once the
-        # respawn budget is spent (poll respawns while budget lasts).
-        return self.respawn_budget <= 0
+        if self.respawn_budget > 0 and not self._stopping():
+            return False  # the next poll respawns or collects
+        # No worker left and none coming: done once every outcome a
+        # worker recorded before it exited has been collected.
+        return not self._store.settled(list(self._unseen))
 
     def close(self) -> None:
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.join(timeout=30.0)
+        for proc in self._procs.values():
+            proc.join(timeout=30.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
-        self._procs = []
+        self._procs = {}
         if self._owns_store:
             self._store.close()
+        if self._temp_dir is not None:
+            shutil.rmtree(self._temp_dir, ignore_errors=True)
+            self._temp_dir = None
 
 
 # --------------------------------------------------------------------- #
 # registry
 
-_BACKENDS = {
-    "inprocess": InProcessBackend,
-    "local": LocalPoolBackend,
-    "queue": QueueBackend,
-}
-
 
 def available_backends() -> tuple[str, ...]:
     """Registered backend names, stable order (CLI choices, docs)."""
-    return tuple(_BACKENDS)
+    return ("inprocess", "local", "queue")
 
 
-def make_backend(name: str, **options) -> ExecutionBackend:
+def make_backend(
+    name: str,
+    *,
+    workers: int = 1,
+    retries: int = 1,
+    store: RunStore | str | Path | None = None,
+    unit_timeout: float | None = None,
+) -> ExecutionBackend:
     """Build a backend by registry name.
 
-    *options* are forwarded to the backend constructor; unknown names
-    raise :class:`~repro.util.errors.ConfigurationError` listing the
-    taxonomy, so CLI/service errors teach the valid choices.
+    ``local`` resolves to ``inprocess`` at ``workers <= 1`` and to
+    ``queue`` above.  ``inprocess`` ignores *workers*, *store* and
+    *unit_timeout* (the context records outcomes and passes the timeout
+    in each payload); ``queue`` without a *store* works over a private
+    temporary one.  Unknown names raise
+    :class:`~repro.util.errors.ConfigurationError` listing the taxonomy,
+    so CLI/service errors teach the valid choices.
     """
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown execution backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-    return cls(**options)
+    if name == "local":
+        name = "inprocess" if workers <= 1 else "queue"
+    if name == "inprocess":
+        return InProcessBackend(retries=retries)
+    if name == "queue":
+        return QueueBackend(
+            store=store, workers=workers, retries=retries,
+            unit_timeout=unit_timeout,
+        )
+    raise ConfigurationError(
+        f"unknown execution backend {name!r}; "
+        f"available: {', '.join(available_backends())}"
+    )

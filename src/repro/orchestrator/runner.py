@@ -1,25 +1,26 @@
 """Campaign orchestration: checkpointed, resumable, fault-contained sweeps.
 
-An :class:`OrchestrationContext` is the durable replacement for the old
-in-memory ``ProcessPoolExecutor.map`` sweep loop.  Arm one with
-:func:`~repro.orchestrator.context.use_orchestrator` and every sweep that
-reaches :func:`repro.analysis.experiment.run_repetitions_many` decomposes
-into content-hashed :class:`~repro.orchestrator.units.WorkUnit` objects and
+An :class:`OrchestrationContext` is the one execution path of every
+repetition batch.  :func:`repro.analysis.experiment.run_spec_batch` routes
+its batch through the ambient context (armed with
+:func:`~repro.orchestrator.context.use_orchestrator`) or, when none is
+armed, through a store-less fail-loud one.  Every batch decomposes into
+content-hashed :class:`~repro.orchestrator.units.WorkUnit` objects and
 flows through this pipeline:
 
 1. **Resume** — units whose ID is already ``done`` in the
    :class:`~repro.orchestrator.store.RunStore` are loaded, not re-run.
-2. **Execute** — the rest flow through a pluggable
-   :class:`~repro.orchestrator.backend.ExecutionBackend` (the default
-   ``local`` backend wraps the fault-contained
-   :class:`~repro.orchestrator.pool.WorkerPool`: per-unit timeout,
-   bounded retry, quarantine); each completed unit is upserted into the
+2. **Execute** — the rest flow through an
+   :class:`~repro.orchestrator.backend.ExecutionBackend`: ``inprocess``
+   runs them in the calling thread, ``queue`` in worker processes that
+   claim leased units from the store (a private temporary one when the
+   campaign has none); the default ``local`` picks ``inprocess`` at one
+   worker and ``queue`` above.  Each completed unit is upserted into the
    store *immediately*, so a kill at any instant loses at most the
-   in-flight units.  ``backend="queue"`` instead lets several worker
-   processes steal leased units from the shared store.
-3. **Merge** — results are returned in seed order; per-unit telemetry
-   summaries are absorbed into the ambient collector when one is armed,
-   which is what lifts the old ``--telemetry ⇒ --workers 1`` restriction.
+   in-flight units.
+3. **Merge** — results are returned in seed order; per-unit telemetry is
+   merged into the ambient collector when one is armed (in-process units
+   with their full event stream, worker-process units as summaries).
 
 Aggregates are bit-identical to a cold, store-less run at any worker
 count: unit results always pass through the exact JSON round trip of
@@ -29,6 +30,8 @@ every simulation.
 
 from __future__ import annotations
 
+import signal
+import threading
 from dataclasses import dataclass, field
 
 from collections.abc import Callable
@@ -36,23 +39,71 @@ from collections.abc import Callable
 from repro.analysis.experiment import ExperimentSpec, RunResult, run_once
 from repro.orchestrator.backend import ExecutionBackend, make_backend
 from repro.orchestrator.context import current_orchestrator, use_orchestrator
-from repro.orchestrator.pool import (
-    QuarantinedUnit,
-    clear_unit_timeout,
-    install_unit_timeout,
-)
 from repro.orchestrator.results import result_from_dict, result_to_dict
 from repro.orchestrator.store import RunStore
 from repro.orchestrator.units import WorkUnit
 from repro.telemetry.core import Telemetry, TelemetrySummary
 from repro.telemetry.runtime import current_telemetry
-from repro.util.errors import OrchestrationError, WorkUnitError
+from repro.util.errors import OrchestrationError, UnitTimeoutError, WorkUnitError
 
 __all__ = [
     "CampaignInterrupted",
     "OrchestrationContext",
+    "QuarantinedUnit",
     "execute_unit",
+    "install_unit_timeout",
+    "clear_unit_timeout",
 ]
+
+
+@dataclass(frozen=True)
+class QuarantinedUnit:
+    """One unit that exhausted its retry budget, with its final error."""
+
+    unit_id: str
+    label: str
+    seed: int
+    attempts: int
+    error: str
+
+    def __str__(self) -> str:
+        return (
+            f"{self.label} (seed {self.seed}, unit {self.unit_id[:12]}): "
+            f"{self.error} [after {self.attempts} attempt(s)]"
+        )
+
+
+def install_unit_timeout(timeout: float | None) -> bool:
+    """Arm a SIGALRM wall-clock bound on the current thread's unit.
+
+    Returns whether the bound was armed.  Only a process's main thread
+    can own SIGALRM, so the bound is enforced in ``queue`` worker
+    processes and for in-process units driven from the main thread;
+    anywhere else (a service campaign thread, a library caller's worker
+    thread) it is not enforced and the unit runs unbounded.  Also a
+    no-op when *timeout* is falsy or the platform lacks ``SIGALRM``.
+    """
+    if (
+        not timeout
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        return False
+
+    def _on_timeout(signum: int, frame: object) -> None:
+        raise UnitTimeoutError(
+            "<unit>", -1, f"exceeded per-unit timeout of {timeout:g}s"
+        )
+
+    signal.signal(signal.SIGALRM, _on_timeout)
+    signal.setitimer(signal.ITIMER_REAL, float(timeout))
+    return True
+
+
+def clear_unit_timeout() -> None:
+    """Disarm a bound armed by :func:`install_unit_timeout`."""
+    if hasattr(signal, "SIGALRM"):
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
 
 
 class CampaignInterrupted(OrchestrationError):
@@ -65,20 +116,23 @@ class CampaignInterrupted(OrchestrationError):
     """
 
 
-def execute_unit(payload: dict) -> dict:
-    """Worker entry point: run one unit, return its result document.
+def execute_unit(payload: dict, telemetry: Telemetry | None = None) -> dict:
+    """Run one unit and return its result document.
 
     *payload* is ``{"spec_json", "seed", "timeout", "telemetry"}``.  Runs
-    under a SIGALRM wall-clock bound when a timeout is set, traces the run
-    with a process-local collector when asked, and wraps any failure in a
+    under a SIGALRM wall-clock bound when a timeout is set (see
+    :func:`install_unit_timeout` for where it is enforced), traces the
+    run when the payload asks — into *telemetry* when given, else into a
+    fresh per-unit collector — and wraps any failure in a
     :class:`~repro.util.errors.WorkUnitError` naming the (spec, seed)
-    unit.  Top-level and payload-picklable by construction so it crosses
-    the ``ProcessPoolExecutor`` boundary.
+    unit.  The payload is plain JSON data, so the same call serves the
+    in-process backend and the queue worker processes.
     """
     spec = ExperimentSpec.from_json(payload["spec_json"])
     seed = int(payload["seed"])
-    telemetry = Telemetry() if payload.get("telemetry") else None
-    install_unit_timeout(payload.get("timeout"))
+    if telemetry is None and payload.get("telemetry"):
+        telemetry = Telemetry()
+    armed = install_unit_timeout(payload.get("timeout"))
     try:
         result = run_once(spec, seed=seed, telemetry=telemetry)
     except WorkUnitError:
@@ -88,26 +142,29 @@ def execute_unit(payload: dict) -> dict:
             spec.describe(), seed, f"{type(exc).__name__}: {exc}"
         ) from exc
     finally:
-        clear_unit_timeout()
+        if armed:
+            clear_unit_timeout()
     return result_to_dict(result)
 
 
 @dataclass
 class OrchestrationContext:
-    """One durable campaign: a store, a pool policy, and its live tallies.
+    """One durable campaign: a store, an execution policy, and its tallies.
 
     Parameters
     ----------
     store:
         Checkpoint database; None runs the same fault-contained pipeline
-        without persistence (retry/quarantine still apply).
+        without persistence (retry/quarantine still apply; ``queue``
+        works over a private temporary store).
     workers:
-        Process fan-out (1 = inline).
+        Worker processes (1 = in the calling thread).
     retries:
         Extra attempts per unit before quarantine.
     unit_timeout:
-        Per-unit wall-clock bound in seconds (enforced in worker
-        processes; inline execution is unbounded).
+        Per-unit wall-clock bound in seconds, enforced by SIGALRM in
+        queue worker processes and on the main thread; units run on
+        any other thread are unbounded.
     resume:
         Skip units already ``done`` in the store.  Off, every unit
         re-executes (and idempotently overwrites its row).
@@ -115,13 +172,11 @@ class OrchestrationContext:
         Execute at most this many *fresh* units, then raise
         :class:`CampaignInterrupted` (budgeted runs; the interrupted-
         resume tests and CI smoke use it to kill campaigns mid-sweep).
-    backoff:
-        Linear retry backoff factor, seconds.
     backend:
         Execution engine: a registry name (``"inprocess"``, ``"local"``,
         ``"queue"``) or a ready :class:`ExecutionBackend` instance.
-        None resolves to ``"local"`` — the historical WorkerPool
-        behaviour, bit for bit.
+        None resolves to ``"local"``: ``inprocess`` when at most one
+        worker is useful for the batch, ``queue`` otherwise.
     on_progress:
         Optional hook called (with this context) after each settled
         unit batch — the HTTP service hangs live telemetry snapshots
@@ -143,7 +198,6 @@ class OrchestrationContext:
     unit_timeout: float | None = None
     resume: bool = True
     max_units: int | None = None
-    backoff: float = 0.05
     backend: "str | ExecutionBackend | None" = None
     on_progress: Callable[["OrchestrationContext"], None] | None = None
     executed_units: int = 0
@@ -255,27 +309,17 @@ class OrchestrationContext:
 
     # ------------------------------------------------------------------ #
 
-    def _resolve_backend(self) -> ExecutionBackend:
+    def _resolve_backend(self, n_units: int) -> ExecutionBackend:
         """Build (or pass through) the execution backend for one batch."""
         if isinstance(self.backend, ExecutionBackend):
             return self.backend
-        name = self.backend or "local"
-        if name == "queue":
-            if self.store is None:
-                raise OrchestrationError(
-                    "backend='queue' needs a store: the shared RunStore is "
-                    "the work queue — pass store=/--store"
-                )
-            return make_backend(
-                "queue", store=self.store, workers=self.workers,
-                retries=self.retries, unit_timeout=self.unit_timeout,
-            )
-        if name == "local":
-            return make_backend(
-                "local", workers=self.workers, retries=self.retries,
-                backoff=self.backoff,
-            )
-        return make_backend(name, retries=self.retries, backoff=self.backoff)
+        return make_backend(
+            self.backend or "local",
+            workers=min(self.workers, n_units),
+            retries=self.retries,
+            store=self.store,
+            unit_timeout=self.unit_timeout,
+        )
 
     def cancel(self) -> None:
         """Stop the in-flight campaign (thread-safe, cooperative).
@@ -298,7 +342,7 @@ class OrchestrationContext:
         telemetry: Telemetry | None,
     ) -> None:
         """Submit one batch and drain outcomes until the backend is done."""
-        backend = self._resolve_backend()
+        backend = self._resolve_backend(len(payloads))
         record = not backend.capabilities().writes_store
         self._active_backend = backend
         try:
@@ -318,7 +362,9 @@ class OrchestrationContext:
                             unit.spec, unit.seed, outcome.result
                         )
                         self.executed_units += 1
-                        self._absorb(telemetry, results[outcome.unit_id])
+                        self._absorb(
+                            telemetry, results[outcome.unit_id], outcome.trace
+                        )
                     else:
                         if self.store is not None and record:
                             self.store.record_quarantine(
@@ -344,12 +390,20 @@ class OrchestrationContext:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _absorb(telemetry: Telemetry | None, result: RunResult) -> None:
-        summary = result.stats.telemetry
-        if telemetry is not None and isinstance(summary, TelemetrySummary):
-            # The seed orders gauge resolution: merged gauges are then a
-            # pure function of the unit set, not of completion order.
-            telemetry.absorb(summary, source=result.seed)
+    def _absorb(
+        telemetry: Telemetry | None,
+        result: RunResult,
+        trace: Telemetry | None = None,
+    ) -> None:
+        # The seed orders gauge resolution: merged gauges are then a pure
+        # function of the unit set, not of completion order.
+        if telemetry is None:
+            return
+        if trace is not None:
+            # An in-process unit's live collector: merge its events too.
+            telemetry.merge(trace, source=result.seed)
+        elif isinstance(result.stats.telemetry, TelemetrySummary):
+            telemetry.absorb(result.stats.telemetry, source=result.seed)
 
     def summary_line(self) -> str:
         """One-line progress digest for CLI epilogues."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 import sqlite3
@@ -56,6 +57,18 @@ _MIGRATABLE_VERSIONS = ("1",)
 
 #: Unit states a row may be in.
 _STATUSES = ("pending", "done", "quarantined")
+
+#: The :class:`UnitRow` columns, in field order.
+_COLUMNS = (
+    "unit_id, kind, label, seed, status, attempts, spec_json,"
+    " result_json, error, created_at, updated_at"
+)
+
+
+def _chunks(items: list[str], size: int = 500):
+    """Slices of *items* small enough for SQLite's bound-parameter cap."""
+    for i in range(0, len(items), size):
+        yield items[i : i + size]
 
 
 @dataclass(frozen=True)
@@ -313,6 +326,7 @@ class RunStore:
         limit: int = 1,
         lease_seconds: float = 60.0,
         max_attempts: int | None = None,
+        among: Collection[str] | None = None,
     ) -> list[UnitRow]:
         """Atomically lease up to *limit* pending units to *owner*.
 
@@ -322,8 +336,10 @@ class RunStore:
         attempt counter; when *max_attempts* is set, candidates that have
         already burned that many claims are quarantined here instead of
         leased (their worker evidently never lived long enough to report
-        a failure).  Claims are serialised by an immediate transaction,
-        so two workers never hold the same unit concurrently.
+        a failure).  *among* restricts candidates to those unit IDs (a
+        queue worker claims only its own batch).  Claims are serialised
+        by an immediate transaction, so two workers never hold the same
+        unit concurrently.
         """
         now = time.time()
         claimed: list[UnitRow] = []
@@ -333,9 +349,11 @@ class RunStore:
                 "SELECT unit_id, attempts FROM units"
                 " WHERE status = 'pending'"
                 "   AND (lease_owner IS NULL OR lease_expires < ?)"
-                " ORDER BY rowid LIMIT ?",
-                (now, limit),
+                " ORDER BY rowid" + ("" if among is not None else " LIMIT ?"),
+                (now,) if among is not None else (now, limit),
             ).fetchall()
+            if among is not None:
+                rows = [r for r in rows if r[0] in among][:limit]
             for unit_id, attempts in rows:
                 if max_attempts is not None and attempts >= max_attempts:
                     self._conn.execute(
@@ -378,6 +396,44 @@ class RunStore:
                 (now + lease_seconds, now, owner, *unit_ids),
             )
 
+    def reclaim(self, owner: str, max_attempts: int, error: str) -> None:
+        """Free a dead worker's leases without waiting for them to expire.
+
+        Each of *owner*'s pending units returns to the pool, or — when
+        its claims already reached *max_attempts* — is quarantined with
+        *error*, so a crash costs a unit exactly one attempt.
+        """
+        with self._conn:
+            self._conn.execute(
+                "UPDATE units SET"
+                " status = CASE WHEN attempts >= ? THEN 'quarantined'"
+                "          ELSE status END,"
+                " error = CASE WHEN attempts >= ? THEN ? ELSE error END,"
+                " lease_owner = NULL, lease_expires = NULL,"
+                " updated_at = datetime('now')"
+                " WHERE lease_owner = ? AND status = 'pending'",
+                (max_attempts, max_attempts, error, owner),
+            )
+
+    def requeue(self, unit_ids: list[str]) -> None:
+        """Put settled (done or quarantined) units back to fresh pending.
+
+        Used when a campaign re-executes units on purpose: quarantined
+        units retried on a rerun, or every unit under ``resume=False``.
+        Pending rows — possibly leased by a live worker — are untouched.
+        """
+        for chunk in _chunks(unit_ids):
+            with self._conn:
+                self._conn.execute(
+                    "UPDATE units SET status = 'pending', attempts = 0,"
+                    " result_json = NULL, error = NULL,"
+                    " lease_owner = NULL, lease_expires = NULL,"
+                    " updated_at = datetime('now')"
+                    f" WHERE status != 'pending' AND unit_id IN"
+                    f" ({','.join('?' * len(chunk))})",
+                    chunk,
+                )
+
     def release_unit(self, unit_id: str) -> None:
         """Return a leased unit to the pool without recording an outcome."""
         with self._conn:
@@ -419,33 +475,45 @@ class RunStore:
 
     def completed(self, unit_ids: list[str]) -> dict[str, dict]:
         """Result payloads of the given IDs that are already ``done``."""
-        out: dict[str, dict] = {}
-        # SQLite caps bound parameters; chunk generously below the limit.
-        for i in range(0, len(unit_ids), 500):
-            chunk = unit_ids[i : i + 500]
-            marks = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                f"SELECT unit_id, result_json FROM units "
-                f"WHERE status = 'done' AND unit_id IN ({marks})",
+        return {
+            row.unit_id: json.loads(row.result_json)
+            for row in self.settled(unit_ids)
+            if row.status == "done"
+        }
+
+    def settled(self, unit_ids: list[str]) -> list[UnitRow]:
+        """Rows of the given IDs that are done or quarantined, in insertion order."""
+        rows: list[tuple] = []
+        for chunk in _chunks(unit_ids):
+            rows.extend(self._conn.execute(
+                f"SELECT {_COLUMNS}, rowid FROM units WHERE status != 'pending'"
+                f" AND unit_id IN ({','.join('?' * len(chunk))})",
                 chunk,
-            ).fetchall()
-            for uid, result_json in rows:
-                out[uid] = json.loads(result_json)
-        return out
+            ).fetchall())
+        return [UnitRow(*row[:-1]) for row in sorted(rows, key=lambda r: r[-1])]
+
+    def pending(self, unit_ids: Collection[str]) -> int:
+        """How many of the given IDs are still pending (leased or not)."""
+        return sum(
+            uid in unit_ids
+            for (uid,) in self._conn.execute(
+                "SELECT unit_id FROM units WHERE status = 'pending'"
+            )
+        )
+
+    def data_version(self) -> int:
+        """A number that changes whenever another connection commits."""
+        return self._conn.execute("PRAGMA data_version").fetchone()[0]
 
     def get(self, unit_id: str) -> UnitRow | None:
         """One unit by exact ID, or by unique ID prefix (>= 6 chars)."""
         row = self._conn.execute(
-            "SELECT unit_id, kind, label, seed, status, attempts, spec_json,"
-            " result_json, error, created_at, updated_at"
-            " FROM units WHERE unit_id = ?",
+            f"SELECT {_COLUMNS} FROM units WHERE unit_id = ?",
             (unit_id,),
         ).fetchone()
         if row is None and len(unit_id) >= 6:
             rows = self._conn.execute(
-                "SELECT unit_id, kind, label, seed, status, attempts, spec_json,"
-                " result_json, error, created_at, updated_at"
-                " FROM units WHERE unit_id LIKE ? LIMIT 2",
+                f"SELECT {_COLUMNS} FROM units WHERE unit_id LIKE ? LIMIT 2",
                 (unit_id + "%",),
             ).fetchall()
             if len(rows) == 1:
@@ -456,10 +524,7 @@ class RunStore:
         self, status: str | None = None, kind: str | None = None
     ) -> list[UnitRow]:
         """Every stored unit (optionally filtered), in insertion order."""
-        query = (
-            "SELECT unit_id, kind, label, seed, status, attempts, spec_json,"
-            " result_json, error, created_at, updated_at FROM units"
-        )
+        query = f"SELECT {_COLUMNS} FROM units"
         clauses, params = [], []
         if status is not None:
             clauses.append("status = ?")

@@ -277,6 +277,29 @@ class Telemetry:
         completion order at any worker count.  Without a source the
         absorbed value simply overwrites (last writer wins).
         """
+        self._absorb_metrics(summary, source)
+        self.events.absorb_counts(
+            dict(summary.event_counts), summary.events_recorded
+        )
+
+    def merge(
+        self, other: "Telemetry", source: int | float | None = None
+    ) -> None:
+        """Merge a live collector into this one, retained events included.
+
+        The in-process twin of :meth:`absorb`: a unit run in the calling
+        thread traces into its own collector (so its result carries a
+        per-unit summary), and merging it here leaves this collector
+        exactly as if the unit had traced into it directly — the full
+        per-event stream, not just per-kind totals.
+        """
+        self._absorb_metrics(other.summary(), source)
+        self.events.merge(other.events)
+
+    def _absorb_metrics(
+        self, summary: TelemetrySummary, source: int | float | None
+    ) -> None:
+        """Fold counters, gauges, histograms and spans (see :meth:`absorb`)."""
         for key, value in summary.counters:
             name, labels = _parse_series_key(key)
             self.registry.counter(name, **labels).inc(value)
@@ -314,9 +337,6 @@ class Telemetry:
             agg.self_s += values["self_s"]
             agg.min_s = min(agg.min_s, values["min_s"])
             agg.max_s = max(agg.max_s, values["max_s"])
-        self.events.absorb_counts(
-            dict(summary.event_counts), summary.events_recorded
-        )
 
     # ------------------------------------------------------------------ #
     # reading
@@ -378,6 +398,11 @@ class NullTelemetry(Telemetry):
 
     def absorb(
         self, summary: TelemetrySummary, source: int | float | None = None
+    ) -> None:
+        """No-op."""
+
+    def merge(
+        self, other: Telemetry, source: int | float | None = None
     ) -> None:
         """No-op."""
 

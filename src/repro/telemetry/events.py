@@ -137,3 +137,18 @@ class EventLog:
             self._tally[kind] += int(n)
         self.recorded += int(recorded)
         self.dropped += int(recorded)
+
+    def merge(self, other: "EventLog") -> None:
+        """Append another log's retained events and fold in its totals.
+
+        The result equals having recorded *other*'s events here directly:
+        its retained events join the ring (evicting the oldest when full)
+        and everything it counted but did not retain stays dropped.
+        """
+        for event in other:
+            if len(self._events) == self.maxsize:
+                self.dropped += 1
+            self._events.append(event)
+        self.recorded += other.recorded
+        self.dropped += other.recorded - len(other)
+        self._tally.update(other._tally)

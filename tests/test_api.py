@@ -69,25 +69,18 @@ class TestRunStats:
         assert isinstance(stats.hello_messages, int)
         assert stats.hello_messages > 0
 
-    def test_channel_stats_dict_view_deprecated_but_identical(self):
-        result = simulate(_spec(), seed=1)
-        with pytest.warns(FutureWarning, match="channel_stats is deprecated"):
-            legacy = result.channel_stats
-        assert legacy == result.stats.as_dict()
-        # legacy dict spells out exactly the channel + cache counters
-        assert set(legacy) == {
-            "hello_messages", "data_transmissions", "sync_messages",
-            "deliveries", "hello_losses", "collisions",
-            "decision_cache_hits", "decision_cache_misses",
-            "decision_cache_uncacheable",
-        }
-
     def test_fault_keys_only_when_armed(self):
         from repro.faults.schedule import NodeOutage
 
         clean = simulate(_spec(), seed=2).stats
         assert not clean.faults_armed
-        assert not any(k.startswith("fault_") for k in clean.as_dict())
+        # An unfaulted unit-disk run's dict is the channel + cache counters.
+        assert set(clean.as_dict()) == {
+            "hello_messages", "data_transmissions", "sync_messages",
+            "deliveries", "hello_losses", "collisions",
+            "decision_cache_hits", "decision_cache_misses",
+            "decision_cache_uncacheable",
+        }
         faulted = simulate(
             _spec(), seed=2,
             faults=FaultSchedule(events=(NodeOutage(node=1, start=2.0, end=5.0),)),

@@ -10,7 +10,6 @@ pinned here.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
@@ -19,16 +18,15 @@ import pytest
 from repro.analysis.experiment import ExperimentSpec
 from repro.mobility.base import Area
 from repro.orchestrator import OrchestrationContext, RunStore, WorkUnit
+from repro.orchestrator import runner
 from repro.orchestrator.backend import (
     BackendCapabilities,
     InProcessBackend,
-    LocalPoolBackend,
     QueueBackend,
     UnitOutcome,
     available_backends,
     make_backend,
 )
-from repro.orchestrator.pool import WorkerPool
 from repro.orchestrator.runner import CampaignInterrupted
 from repro.orchestrator.store import STORE_SCHEMA_VERSION
 from repro.sim.config import ScenarioConfig
@@ -74,16 +72,29 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="inprocess, local, queue"):
             make_backend("threads")
 
-    def test_queue_requires_store(self):
-        with pytest.raises(ConfigurationError, match="store"):
-            make_backend("queue")
+    def test_queue_without_store_uses_private_temp_store(self):
+        backend = make_backend("queue")
+        path = backend._store.path
+        assert path.exists()
+        backend.close()
+        assert not path.parent.exists()
+
+    def test_local_selects_by_worker_count(self):
+        assert isinstance(make_backend("local", workers=1), InProcessBackend)
+        backend = make_backend("local", workers=2)
+        assert isinstance(backend, QueueBackend)
+        assert backend.workers == 2
+        backend.close()
 
     def test_capabilities_shape(self):
         caps = InProcessBackend().capabilities()
         assert isinstance(caps, BackendCapabilities)
         assert caps.name == "inprocess"
         assert not caps.writes_store
-        assert LocalPoolBackend(workers=2).capabilities().parallel
+        backend = QueueBackend(workers=2)
+        assert backend.capabilities().parallel
+        assert backend.capabilities().writes_store
+        backend.close()
 
 
 class TestBitIdentity:
@@ -239,25 +250,23 @@ class TestCancel:
         assert backend.done()
         store.close()
 
-    def test_local_pool_should_stop_halts_inline_run(self):
+    def test_local_pool_should_stop_halts_inline_run(self, monkeypatch):
+        """``local`` at one worker runs units in the calling thread: a
+        cancel requested while a unit executes stops the batch after it."""
+        ctx = OrchestrationContext(backend="local", workers=1)
         executed = []
-        stop = threading.Event()
+        real = runner.execute_unit
 
-        def worker(payload):
-            executed.append(payload["n"])
-            stop.set()
-            return payload
+        def execute_then_cancel(payload, telemetry=None):
+            executed.append(payload["seed"])
+            ctx.cancel()
+            return real(payload, telemetry)
 
-        pool = WorkerPool(worker, workers=1, should_stop=stop.is_set)
-        results, failures = [], []
-        pool.run(
-            {f"u{i}": {"n": i} for i in range(5)},
-            lambda uid, r, a: results.append(uid),
-            lambda uid, e, a: failures.append(uid),
-        )
-        # First unit set the stop flag; the rest never launched.
-        assert executed == [0]
-        assert len(results) == 1 and not failures
+        monkeypatch.setattr(runner, "execute_unit", execute_then_cancel)
+        with ctx, pytest.raises(CampaignInterrupted, match="cancelled"):
+            ctx.run_spec_batch([SPEC], repetitions=5, base_seed=50)
+        assert executed == [50]
+        assert ctx.executed_units == 1
 
 
 class TestLeaseReclaim:
@@ -329,6 +338,110 @@ class TestLeaseReclaim:
         [again] = store.claim_units("other", lease_seconds=60.0)
         assert again.unit_id == row.unit_id
         assert again.attempts == 2
+        store.close()
+
+
+    def test_reclaim_frees_dead_owner_at_once(self, tmp_path):
+        store = RunStore(tmp_path / "reclaim.db")
+        units = self._register(store, n=2)
+        store.claim_units("dead", limit=2, lease_seconds=60.0)
+        # A second claim puts unit 0 at its claim budget.
+        store.reclaim("dead", max_attempts=2, error="unused")
+        store.claim_units("dead", limit=1, lease_seconds=60.0)
+        store.reclaim("dead", max_attempts=2, error="worker process died")
+        row0, row1 = store.get(units[0].unit_id), store.get(units[1].unit_id)
+        assert (row0.status, row0.error) == ("quarantined", "worker process died")
+        assert (row1.status, row1.attempts) == ("pending", 1)
+        # No lease wait: the surviving unit is claimable straight away.
+        [again] = store.claim_units("next", lease_seconds=60.0)
+        assert again.unit_id == units[1].unit_id
+        store.close()
+
+    def test_claims_stay_within_batch(self, tmp_path):
+        store = RunStore(tmp_path / "among.db")
+        units = self._register(store, n=3)
+        batch = {units[2].unit_id}
+        [row] = store.claim_units("w", limit=5, among=batch)
+        assert row.unit_id == units[2].unit_id
+        assert store.claim_units("w", limit=5, among=batch) == []
+        assert store.pending(batch) == 1
+        store.record_result(units[2], {"series": {}}, attempts=1)
+        assert store.pending(batch) == 0
+        store.close()
+
+    def test_settled_reads_only_settled_rows(self, tmp_path):
+        store = RunStore(tmp_path / "settled.db")
+        units = self._register(store, n=3)
+        store.record_result(units[2], {"series": {}}, attempts=1)
+        store.record_quarantine(units[0], "boom", attempts=2)
+        rows = store.settled([u.unit_id for u in units])
+        assert [r.unit_id for r in rows] == [units[0].unit_id, units[2].unit_id]
+        assert [r.status for r in rows] == ["quarantined", "done"]
+        store.close()
+
+    def test_requeue_resets_settled_rows_only(self, tmp_path):
+        store = RunStore(tmp_path / "requeue.db")
+        units = self._register(store, n=3)
+        store.record_quarantine(units[0], "boom", attempts=2)
+        [leased] = store.claim_units("live", lease_seconds=60.0)
+        store.requeue([u.unit_id for u in units])
+        row0 = store.get(units[0].unit_id)
+        assert (row0.status, row0.attempts, row0.error) == ("pending", 0, None)
+        # A live worker's lease on a pending row is left alone.
+        assert store.get(leased.unit_id).attempts == 1
+        store.close()
+
+
+class TestQueueCampaigns:
+    def test_unit_budget_holds_on_shared_store(self, tmp_path):
+        """Workers claim only the batch the context submitted, so a
+        budget-truncated batch never runs the store's other pending units."""
+        store = RunStore(tmp_path / "budget.db")
+        ctx = OrchestrationContext(
+            store=store, backend="local", workers=2, max_units=2
+        )
+        with ctx, pytest.raises(CampaignInterrupted):
+            ctx.run_spec_batch(SPECS, repetitions=2, base_seed=50)
+        assert store.counts() == {"pending": 2, "done": 2, "quarantined": 0}
+        store.close()
+
+    def test_rerun_retries_quarantined_units(self, cold, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "retry.db")
+        real = runner.execute_unit
+
+        def failing(payload, telemetry=None):
+            raise RuntimeError("flaky environment")
+
+        monkeypatch.setattr(runner, "execute_unit", failing)
+        first = OrchestrationContext(
+            store=store, backend="queue", workers=2, retries=0
+        )
+        with first, pytest.raises(OrchestrationError):
+            first.run_spec_batch(SPECS, repetitions=2, base_seed=50)
+        assert store.counts()["quarantined"] == 4
+        monkeypatch.setattr(runner, "execute_unit", real)
+        with OrchestrationContext(store=store, backend="queue", workers=2) as ctx:
+            got = ctx.run_spec_batch(SPECS, repetitions=2, base_seed=50)
+        assert _series(got) == cold
+        assert store.counts()["done"] == 4
+        store.close()
+
+    def test_heartbeat_keeps_long_unit_leased(self, tmp_path, monkeypatch):
+        """A unit outliving its lease stays with its worker: the heartbeat
+        thread renews it, so the idle second worker never steals it."""
+        real = runner.execute_unit
+
+        def slow(payload, telemetry=None):
+            if payload["seed"] == 50:
+                time.sleep(1.0)
+            return real(payload, telemetry)
+
+        monkeypatch.setattr(runner, "execute_unit", slow)
+        store = RunStore(tmp_path / "beat.db")
+        backend = QueueBackend(store=store, workers=2, lease_seconds=0.3)
+        with OrchestrationContext(store=store, backend=backend) as ctx:
+            ctx.run_spec_batch([SPEC], repetitions=2, base_seed=50)
+        assert [row.attempts for row in store.units()] == [1, 1]
         store.close()
 
 
@@ -442,31 +555,6 @@ class TestDeterministicExport:
         assert "updated_at" not in det_rows[1]
         assert "created_at" in wall_rows[1]
         store.close()
-
-
-class TestDeprecatedEntryPoints:
-    def test_package_root_workerpool_warns(self):
-        import importlib
-
-        orchestrator = importlib.import_module("repro.orchestrator")
-        with pytest.warns(DeprecationWarning, match="submit_campaign"):
-            pool_cls = orchestrator.WorkerPool
-        assert pool_cls is WorkerPool
-
-    def test_api_run_repetitions_many_warns(self):
-        from repro import api
-
-        with pytest.warns(DeprecationWarning, match="submit_campaign"):
-            fn = api.run_repetitions_many
-        from repro.analysis.experiment import run_repetitions_many
-
-        assert fn is run_repetitions_many
-
-    def test_api_workerpool_warns(self):
-        from repro import api
-
-        with pytest.warns(DeprecationWarning, match="backend='local'"):
-            assert api.WorkerPool is WorkerPool
 
 
 class TestSubmitCampaign:

@@ -123,3 +123,48 @@ class TestTelemetryFlag:
         assert code == 0
         assert validate_jsonl(path) == []
         assert "telemetry — table1" in capsys.readouterr().out
+
+
+class TestOrchestratedCommands:
+    RUN = [
+        "run", "--protocol", "rng", "--speed", "5", "--nodes", "12",
+        "--duration", "5", "--sample-rate", "1", "--repetitions", "2",
+    ]
+
+    def test_unit_timeout_at_one_worker_completes(self, capsys):
+        assert main(self.RUN + ["--unit-timeout", "60"]) == 0
+        out = capsys.readouterr().out
+        assert "[orchestrator] 2 executed; 0 resumed; 0 quarantined" in out
+
+    def test_cold_run_prints_no_orchestrator_lines(self, capsys):
+        assert main(self.RUN) == 0
+        assert "[orchestrator]" not in capsys.readouterr().out
+
+    def test_overhead_honours_store_and_unit_budget(self, capsys, tmp_path):
+        from repro.orchestrator import RunStore
+
+        db = tmp_path / "s.db"
+        code = main(
+            ["overhead", "--scale", "smoke", "--store", str(db), "--max-units", "1"]
+        )
+        assert code == 3
+        assert "[orchestrator] interrupted" in capsys.readouterr().out
+        with RunStore(db) as store:
+            assert store.counts()["done"] == 1
+
+    def test_telemetry_stream_same_with_and_without_store(self, capsys, tmp_path):
+        """At one worker, units trace in-process: the JSONL stream holds
+        every event whether or not a store checkpoints the campaign."""
+        import collections
+        import json
+
+        tallies = []
+        for name, extra in (("cold", []), ("stored", ["--store", str(tmp_path / "s.db")])):
+            path = tmp_path / f"{name}.jsonl"
+            assert main(self.RUN + ["--telemetry", str(path)] + extra) == 0
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            tallies.append(collections.Counter(r["record"] for r in records))
+        capsys.readouterr()
+        cold, stored = tallies
+        assert cold["event"] > 0
+        assert cold == stored

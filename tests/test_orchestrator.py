@@ -1,4 +1,4 @@
-"""Tests for the campaign orchestrator: units, store, pool, resume."""
+"""Tests for the campaign orchestrator: units, store, backends, resume."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import json
 import os
 import re
 import sqlite3
+import threading
 import time
 
 import numpy as np
@@ -27,12 +28,13 @@ from repro.orchestrator import (
     result_to_dict,
     unit_id,
 )
-from repro.orchestrator.pool import (
-    WorkerPool,
+from repro.orchestrator import runner
+from repro.orchestrator.backend import InProcessBackend, QueueBackend
+from repro.orchestrator.runner import (
+    CampaignInterrupted,
     clear_unit_timeout,
     install_unit_timeout,
 )
-from repro.orchestrator.runner import CampaignInterrupted
 from repro.sim.config import ScenarioConfig
 from repro.util.errors import (
     ConfigurationError,
@@ -221,90 +223,153 @@ class TestRunStore:
 
 
 # ----------------------------------------------------------------------- #
-# pool worker functions (top-level so children can unpickle them)
+# fault containment on both execution backends
+
+#: Both execution implementations, with the worker count that selects
+#: each: in the calling thread, and two queue worker processes over a
+#: private temporary store.
+BACKENDS = (("inprocess", 1), ("queue", 2))
+
+_execute_unit = runner.execute_unit
 
 
-def _flaky_worker(payload: dict) -> dict:
-    marker = payload["marker"]
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("tried")
-        raise RuntimeError("transient failure")
-    return {"ok": True}
+def _units(*seeds):
+    return [WorkUnit(spec=SPEC, seed=seed, spec_json=SPEC.to_json()) for seed in seeds]
 
 
-def _crashy_worker(payload: dict) -> dict:
-    if payload.get("crash"):
-        os._exit(13)
-    return {"value": payload["value"]}
-
-
-def _sleepy_worker(payload: dict) -> dict:
-    install_unit_timeout(payload["timeout"])
-    try:
-        time.sleep(payload["sleep"])
-        return {"ok": True}
-    finally:
-        clear_unit_timeout()
-
-
-def _failing_worker(payload: dict) -> dict:
-    raise ValueError(f"unit {payload['name']} always fails")
+def _patch_execute(monkeypatch, fn):
+    """Route every unit through *fn*.  Queue workers are forked, so they
+    inherit the patch."""
+    monkeypatch.setattr(runner, "execute_unit", fn)
 
 
 class TestWorkerPool:
+    """Retry, quarantine, crash and timeout containment, re-checked on
+    the ``inprocess`` and ``queue`` backends."""
+
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
-            WorkerPool(_crashy_worker, workers=0)
+            InProcessBackend(retries=-1)
         with pytest.raises(ValueError):
-            WorkerPool(_crashy_worker, retries=-1)
+            QueueBackend(workers=-1)
+        with pytest.raises(ValueError):
+            QueueBackend(retries=-1)
 
-    def _collect(self, pool, payloads):
-        results, failures = {}, {}
-        pool.run(
-            payloads,
-            lambda uid, result, attempts: results.__setitem__(uid, (result, attempts)),
-            lambda uid, error, attempts: failures.__setitem__(uid, (error, attempts)),
+    def test_inline_retry_then_success(self, tmp_path, monkeypatch):
+        for backend, workers in BACKENDS:
+            marker = tmp_path / f"{backend}.marker"
+
+            def flaky(payload, telemetry=None, marker=marker):
+                if not marker.exists():
+                    marker.write_text("tried")
+                    raise RuntimeError("transient failure")
+                return _execute_unit(payload, telemetry)
+
+            _patch_execute(monkeypatch, flaky)
+            [unit] = _units(3)
+            with RunStore(tmp_path / f"{backend}.db") as store:
+                context = OrchestrationContext(
+                    store=store, backend=backend, workers=workers, retries=1
+                )
+                results = context.run_units([unit])
+                assert not context.quarantined, backend
+                assert store.get(unit.unit_id).attempts == 2, backend
+            assert result_to_dict(results[unit.unit_id]) == result_to_dict(
+                run_once(SPEC, seed=3)
+            )
+
+    def test_inline_quarantine_after_retries(self, monkeypatch):
+        def failing(payload, telemetry=None):
+            raise ValueError(f"unit {payload['seed']} always fails")
+
+        _patch_execute(monkeypatch, failing)
+        for backend, workers in BACKENDS:
+            context = OrchestrationContext(
+                backend=backend, workers=workers, retries=2
+            )
+            assert context.run_units(_units(1)) == {}
+            [quarantined] = context.quarantined
+            assert quarantined.attempts == 3, backend
+            assert "always fails" in quarantined.error, backend
+
+    def test_pooled_crash_quarantines_without_aborting(self, monkeypatch):
+        """A unit that kills its worker (queue) or raises (in-process) is
+        quarantined; every other unit of the batch still completes."""
+        for backend, workers in BACKENDS:
+
+            def crashy(payload, telemetry=None, backend=backend):
+                if payload["seed"] == 99:
+                    if backend == "queue":
+                        os._exit(13)
+                    raise RuntimeError("unit died")
+                return _execute_unit(payload, telemetry)
+
+            _patch_execute(monkeypatch, crashy)
+            units = _units(0, 1, 2, 3, 99)
+            context = OrchestrationContext(
+                backend=backend, workers=workers, retries=1
+            )
+            results = context.run_units(units)
+            assert set(results) == {u.unit_id for u in units[:4]}, backend
+            [quarantined] = context.quarantined
+            assert quarantined.seed == 99
+            assert quarantined.attempts == 2, backend
+            assert "died" in quarantined.error, backend
+
+    def test_pooled_timeout_quarantines(self, monkeypatch):
+        def sleepy(payload, telemetry=None):
+            if payload["seed"] != 99:
+                return _execute_unit(payload, telemetry)
+            armed = install_unit_timeout(payload["timeout"])
+            try:
+                time.sleep(30.0)
+            finally:
+                if armed:
+                    clear_unit_timeout()
+
+        _patch_execute(monkeypatch, sleepy)
+        for backend, workers in BACKENDS:
+            context = OrchestrationContext(
+                backend=backend, workers=workers, retries=0, unit_timeout=1.0
+            )
+            fast, slow = _units(1, 99)
+            results = context.run_units([fast, slow])
+            assert fast.unit_id in results, backend
+            [quarantined] = context.quarantined
+            assert quarantined.unit_id == slow.unit_id, backend
+            assert "timeout" in quarantined.error, backend
+
+
+class TestUnitTimeoutThreads:
+    def test_timeout_context_off_main_thread_completes(self):
+        """SIGALRM belongs to the main thread: elsewhere the bound is
+        not armed, and the campaign still runs every unit."""
+        outcome = {}
+
+        def drive():
+            context = OrchestrationContext(unit_timeout=30)
+            with context:
+                outcome["aggs"] = run_repetitions_many(
+                    [SPEC], repetitions=2, base_seed=50
+                )
+            outcome["quarantined"] = context.quarantined
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        thread.join(timeout=300)
+        assert outcome["quarantined"] == []
+        assert outcome["aggs"] == run_repetitions_many(
+            [SPEC], repetitions=2, base_seed=50
         )
-        return results, failures
 
-    def test_inline_retry_then_success(self, tmp_path):
-        pool = WorkerPool(_flaky_worker, workers=1, retries=1, backoff=0.0)
-        results, failures = self._collect(
-            pool, {"u1": {"marker": str(tmp_path / "m")}}
+    def test_install_is_noop_off_main_thread(self):
+        armed = []
+        thread = threading.Thread(
+            target=lambda: armed.append(install_unit_timeout(5.0))
         )
-        assert failures == {}
-        assert results["u1"] == ({"ok": True}, 2)
-
-    def test_inline_quarantine_after_retries(self):
-        pool = WorkerPool(_failing_worker, workers=1, retries=2, backoff=0.0)
-        results, failures = self._collect(pool, {"u1": {"name": "u1"}})
-        assert results == {}
-        error, attempts = failures["u1"]
-        assert attempts == 3
-        assert "always fails" in error
-
-    def test_pooled_crash_quarantines_without_aborting(self):
-        pool = WorkerPool(_crashy_worker, workers=2, retries=1, backoff=0.0)
-        payloads = {f"u{i}": {"value": i} for i in range(4)}
-        payloads["boom"] = {"crash": True}
-        results, failures = self._collect(pool, payloads)
-        assert set(results) == {f"u{i}" for i in range(4)}
-        assert results["u2"][0] == {"value": 2}
-        error, attempts = failures["boom"]
-        assert attempts == 2
-        assert "died" in error
-
-    def test_pooled_timeout_quarantines(self):
-        pool = WorkerPool(_sleepy_worker, workers=2, retries=0, backoff=0.0)
-        payloads = {
-            "slow": {"timeout": 0.2, "sleep": 30.0},
-            "fast": {"timeout": 5.0, "sleep": 0.0},
-        }
-        results, failures = self._collect(pool, payloads)
-        assert "fast" in results
-        assert "slow" in failures
-        assert "timeout" in failures["slow"][0]
+        thread.start()
+        thread.join()
+        assert armed == [False]
 
 
 class TestExecuteUnit:
@@ -382,7 +447,7 @@ class TestOrchestratedRuns:
     def test_all_repetitions_quarantined_raises_named_error(self, tmp_path):
         bad = SPEC.with_(protocol="yao", protocol_kwargs={"k": -1})
         with RunStore(tmp_path / "s.db") as store:
-            context = OrchestrationContext(store=store, retries=0, backoff=0.0)
+            context = OrchestrationContext(store=store, retries=0)
             with context:
                 with pytest.raises(OrchestrationError, match=re.escape(bad.describe())):
                     run_repetitions_many([SPEC, bad], repetitions=2, base_seed=50)

@@ -323,6 +323,35 @@ class TestAbsorbMergeExactness:
         parent.absorb(b.summary())
         assert parent.registry.gauge("depth").value == 2.0
 
+    @pytest.mark.parametrize("maxsize", [3, 100])
+    def test_merge_equals_tracing_directly(self, maxsize):
+        """Merging live per-unit collectors leaves the parent exactly as
+        if the units had traced into it: retained events (ring eviction
+        included), per-kind totals, recorded/dropped counts, counters."""
+
+        def trace(tel, unit):
+            tel.count("floods", 1.0 + unit)
+            tel.event("run_start", t=0.0, seed=unit)
+            tel.event_batch("hello_received", 4, t=1.0)
+            tel.event("flood", t=2.0, node=unit)
+
+        direct = Telemetry(max_events=maxsize)
+        merged = Telemetry(max_events=maxsize)
+        for unit in range(3):
+            trace(direct, unit)
+            local = Telemetry(max_events=maxsize)
+            trace(local, unit)
+            merged.merge(local, source=unit)
+        assert list(merged.events) == list(direct.events)
+        assert merged.summary() == direct.summary()
+
+    def test_null_telemetry_ignores_merge(self):
+        local = Telemetry()
+        local.event("flood", t=0.0)
+        null = NullTelemetry()
+        null.merge(local)
+        assert null.summary().events_recorded == 0
+
 
 class TestNullTelemetry:
     def test_disabled_and_records_nothing(self):
