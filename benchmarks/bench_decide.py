@@ -13,8 +13,11 @@ view-fingerprint cache (see ``docs/PERFORMANCE.md``):
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
 
 Outputs are asserted bit-identical between the compared variants before
-any timing, and ``BENCH_decide.json`` (median ns/op plus speedups) is
-written at the repository root for regression tracking.
+any timing — and the whole-world redecide against a per-node oracle loop —
+and ``BENCH_decide.json`` (median ns/op plus speedups) is written at the
+repository root for regression tracking.  ``--smoke`` writes the
+git-ignored ``BENCH_decide.smoke.json`` instead, so a smoke run never
+overwrites the full record.
 
 Run explicitly — it is not part of tier-1:
 
@@ -39,6 +42,7 @@ from repro.core.framework import LocalCostGraph, rng_removable, rng_removable_ba
 pytestmark = pytest.mark.decide_bench
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_decide.json"
+SMOKE_OUTPUT = OUTPUT.with_suffix(".smoke.json")
 
 #: paper density: 8100 m^2 per node => side = 90 * sqrt(n)
 def _side(n: int) -> float:
@@ -75,6 +79,25 @@ def _decisions(world) -> list:
     ]
 
 
+def _per_node_decisions(world) -> list:
+    """The oracle: ``mechanism.decide`` once per owner, at the world's now."""
+    manager, now = world.manager, world.engine.now
+    out = []
+    for node in world.nodes:
+        result = manager.mechanism.decide(
+            manager.protocol, node.table, now, world._current_hello(node, now)
+        )
+        out.append((
+            node.node_id,
+            (
+                result.logical_neighbors,
+                result.actual_range,
+                manager.buffer_policy.extended_range(result.actual_range),
+            ),
+        ))
+    return out
+
+
 def bench_redecide(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
     """Time ``redecide_all`` cache-on vs cache-off at *n* nodes, view-sync."""
     scale = Scale(
@@ -97,11 +120,14 @@ def bench_redecide(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
     world_on.run_until(warm_t)
     world_off.run_until(warm_t)
 
-    # Bit-identical decisions with the cache on and off, before any timing.
+    # Bit-identical decisions with the cache on and off, and equal to one
+    # per-node decision per owner, before any timing.
     world_on.redecide_all()
     world_off.redecide_all()
     if _decisions(world_on) != _decisions(world_off):
         raise AssertionError("decision cache changed redecide_all outputs")
+    if _decisions(world_off) != _per_node_decisions(world_off):
+        raise AssertionError("whole-world redecide diverges from per-node decide")
 
     on_ns = _median_ns(world_on.redecide_all)
     off_ns = _median_ns(world_off.redecide_all)
@@ -313,13 +339,13 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny sizes, no speedup thresholds (CI sanity run)",
+        help="tiny sizes, no speedup thresholds; writes BENCH_decide.smoke.json (CI sanity run)",
     )
     args = parser.parse_args()
     if args.smoke:
         payload = run_benchmark(smoke=True)
-        OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {OUTPUT} (smoke)")
+        SMOKE_OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {SMOKE_OUTPUT}")
         return 0
     test_decide_bench()
     return 0

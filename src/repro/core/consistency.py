@@ -32,11 +32,15 @@ from __future__ import annotations
 import inspect
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
-from repro.core.framework import SelectionResult
+import numpy as np
+
+from repro.core.framework import SelectionResult, ViewBatch, decide_views
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
+from repro.telemetry.core import NULL_TELEMETRY
 from repro.util.errors import ConfigurationError, ViewError
 from repro.util.validate import check_int_range, check_positive
 
@@ -106,6 +110,64 @@ class ConsistencyMechanism(ABC):
         """
         return None
 
+    #: ``gather_views(tables, now, current_hellos, version=None)`` returns
+    #: ``(batch, kept)``: the single-version decision views of many owners
+    #: as one :class:`~repro.core.framework.ViewBatch`, read straight from
+    #: the columnar store all *tables* share, and the positions in *tables*
+    #: (in order) whose owner has a view — the others cannot decide, their
+    #: :meth:`decide` raising :class:`ViewError`.  None for mechanisms
+    #: without a batched gather: :meth:`decide_many` runs their
+    #: :meth:`decide` owner by owner.
+    gather_views = None
+
+    def decide_many(
+        self,
+        protocol: TopologyControlProtocol,
+        tables: Sequence[NeighborTable],
+        now: float,
+        current_hellos: Sequence[Hello],
+        version: int | None = None,
+        spans=NULL_TELEMETRY,
+    ) -> list[SelectionResult | None]:
+        """:meth:`decide` for many owners at one instant, in order.
+
+        None stands for an owner that cannot decide (:class:`ViewError`).
+        When *protocol* has an array kernel
+        (:attr:`~repro.protocols.base.TopologyControlProtocol.view_kernel`),
+        this mechanism a :attr:`gather_views` and the tables share one
+        store, all views are gathered in one pass (span ``redecide_view``)
+        and decided in one array pass (span ``redecide_kernel``); otherwise
+        every owner runs :meth:`decide` (span ``redecide_kernel``).
+        *spans* is the armed telemetry collector, or the disarmed default.
+        """
+        kernel = protocol.view_kernel
+        gathered = None
+        if (
+            kernel is not None
+            and self.gather_views is not None
+            and tables
+            and all(table.state is tables[0].state for table in tables)
+        ):
+            with spans.span("redecide_view"):
+                gathered = self.gather_views(tables, now, current_hellos, version=version)
+        with spans.span("redecide_kernel"):
+            if gathered is None:
+                return [
+                    self._decide_or_none(protocol, table, now, current, version)
+                    for table, current in zip(tables, current_hellos)
+                ]
+            batch, kept = gathered
+            results: list[SelectionResult | None] = [None] * len(tables)
+            for i, result in zip(kept, decide_views(batch, kernel, protocol.cost_model)):
+                results[i] = result
+            return results
+
+    def _decide_or_none(self, protocol, table, now, current_hello, version):
+        try:
+            return self.decide(protocol, table, now, current_hello, version=version)
+        except ViewError:
+            return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -149,6 +211,20 @@ class ViewSynchronization(ConsistencyMechanism):
         view = table.latest_view(now, own_hello=own)
         return protocol.select(view)
 
+    def gather_views(self, tables, now, current_hellos, version=None):
+        """Latest live views of many owners (:attr:`ConsistencyMechanism.gather_views`)."""
+        owns = [
+            table.last_advertised or current
+            for table, current in zip(tables, current_hellos)
+        ]
+        index, senders, hellos = tables[0].state.latest_live_many(
+            [table.row for table in tables],
+            now,
+            np.array([table.expiry for table in tables]),
+        )
+        ranges = np.array([table.normal_range for table in tables])
+        return ViewBatch.assemble(owns, index, senders, hellos, ranges), range(len(tables))
+
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # The own position is the *last advertised* one, which only changes
         # with a table mutation — this is what makes packet-time
@@ -171,26 +247,55 @@ class ProactiveConsistency(ConsistencyMechanism):
     recompute_on_packet = True
     synchronized_versions = True
 
-    def decide(self, protocol, table, now, current_hello, version=None):
+    @staticmethod
+    def _view_version(table: NeighborTable, version: int | None) -> int:
+        """The Hello version a decision for *version* uses at *table*'s owner.
+
+        Raises :class:`ViewError` when the owner has no usable version.
+        """
+        available = table.available_versions()
         if version is None:
-            version = max(table.available_versions(), default=None)
-            if version is None:
+            if not available:
                 raise ViewError(
                     f"node {table.owner} cannot decide proactively before advertising"
                 )
-        try:
-            view = table.versioned_view(now, version)
-        except ViewError:
-            # The node has not reached epoch `version` yet (clock skew or a
-            # packet racing ahead of Hello emission): fall back to the most
-            # recent version it *has* advertised — the paper's "wait before
-            # migrating to the next local view" rule seen from the packet's
-            # perspective.
-            candidates = [v for v in table.available_versions() if v < version]
-            if not candidates:
-                raise
-            view = table.versioned_view(now, max(candidates))
+            return max(available)
+        if version in available:
+            return version
+        # The node has not reached epoch `version` yet (clock skew or a
+        # packet racing ahead of Hello emission): fall back to the most
+        # recent version it *has* advertised — the paper's "wait before
+        # migrating to the next local view" rule seen from the packet's
+        # perspective.
+        candidates = [v for v in available if v < version]
+        if not candidates:
+            raise ViewError(
+                f"node {table.owner} has not advertised version {version} yet"
+            )
+        return max(candidates)
+
+    def decide(self, protocol, table, now, current_hello, version=None):
+        view = table.versioned_view(now, self._view_version(table, version))
         return protocol.select(view)
+
+    def gather_views(self, tables, now, current_hellos, version=None):
+        """Version-matched views of many owners (:attr:`ConsistencyMechanism.gather_views`)."""
+        kept: list[int] = []
+        owns: list[Hello] = []
+        versions: list[int] = []
+        for i, table in enumerate(tables):
+            try:
+                v = self._view_version(table, version)
+            except ViewError:
+                continue
+            kept.append(i)
+            versions.append(v)
+            owns.append(next(h for h in table.own_history if h.version == v))
+        index, senders, hellos = tables[0].state.versioned_many(
+            [tables[i].row for i in kept], np.array(versions, dtype=np.int64)
+        )
+        ranges = np.array([tables[i].normal_range for i in kept])
+        return ViewBatch.assemble(owns, index, senders, hellos, ranges), kept
 
     def decision_fingerprint(self, table, now, current_hello, version=None):
         # Versioned views ignore the expiry window and never read the

@@ -21,6 +21,7 @@ conditions reduce to the plain ones — so one implementation serves both.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections.abc import Sequence
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.costs import CostModel, cost_key
-from repro.core.views import LocalView, MultiVersionView
+from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ProtocolError
 
 __all__ = [
@@ -42,6 +43,10 @@ __all__ = [
     "mst_removable",
     "mst_removable_batch",
     "apply_removal_condition",
+    "KERNEL_CHUNK_ELEMENTS",
+    "ViewBatch",
+    "VIEW_KERNELS",
+    "decide_views",
 ]
 
 
@@ -70,6 +75,15 @@ class SelectionResult:
             raise ProtocolError(f"node {self.owner} selected itself as logical neighbor")
         if self.actual_range < 0 or not math.isfinite(self.actual_range):
             raise ProtocolError(f"invalid actual range {self.actual_range!r}")
+
+
+@functools.lru_cache(maxsize=256)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(m, k=1)``, built once per view size."""
+    iu, iv = np.triu_indices(m, k=1)
+    iu.flags.writeable = False
+    iv.flags.writeable = False
+    return iu, iv
 
 
 class LocalCostGraph:
@@ -142,7 +156,7 @@ class LocalCostGraph:
         the measured hot spot, nothing else).
         """
         m = len(self.ids)
-        iu, iv = np.triu_indices(m, k=1)
+        iu, iv = _upper_pairs(m)
         ids_arr = np.asarray(self.ids)
         lo_ids = np.minimum(ids_arr[iu], ids_arr[iv])
         hi_ids = np.maximum(ids_arr[iu], ids_arr[iv])
@@ -445,3 +459,251 @@ def apply_removal_condition(
         logical_neighbors=frozenset(survivors),
         actual_range=max_dist,
     )
+
+
+# --------------------------------------------------------------------- #
+# whole-world kernels: many owners' single-version views in one pass
+
+#: Element budget of one kernel chunk.  Owners are decided in chunks whose
+#: ``owners x M x M`` padded size stays below this (a single owner larger
+#: than the budget gets a chunk of its own), so one float64 temporary is at
+#: most 1 MiB however many owners a world has.
+KERNEL_CHUNK_ELEMENTS = 1 << 17
+
+
+@dataclass(frozen=True, slots=True)
+class ViewBatch:
+    """Many owners' single-version views, flattened member by member.
+
+    View *i* occupies ``ids[s:s + counts[i]]`` (``s`` the sum of the
+    earlier counts): its owner first, then its neighbors by ascending id —
+    the member order of :attr:`~repro.core.views.LocalView.members`, so
+    member *j* of a view is index *j* of its per-node
+    :class:`LocalCostGraph`.
+
+    Attributes
+    ----------
+    counts:
+        ``(B,)`` members per view (owner included).
+    ids / x / y:
+        Member ids and advertised positions, concatenated over views.
+    normal_range:
+        ``(B,)`` link threshold of each view.
+    """
+
+    counts: np.ndarray
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    normal_range: np.ndarray
+
+    @classmethod
+    def assemble(
+        cls,
+        own_hellos: Sequence[Hello],
+        index: np.ndarray,
+        senders: np.ndarray,
+        hellos: np.ndarray,
+        normal_range: np.ndarray,
+    ) -> "ViewBatch":
+        """Batch from per-view own Hellos and flat neighbor entries.
+
+        Entry *e* says that view ``index[e]`` holds Hello ``hellos[e]`` of
+        neighbor ``senders[e]``; entries may come in any order.
+        """
+        order = np.lexsort((senders, index))
+        index, senders, hellos = index[order], senders[order], hellos[order]
+        neighbors = np.bincount(index, minlength=len(own_hellos))
+        counts = neighbors + 1
+        first = np.cumsum(counts) - counts
+        # neighbor e of view i goes to member 1 + (its rank within view i)
+        rank = np.arange(index.size) - (np.cumsum(neighbors) - neighbors)[index]
+        slots = first[index] + 1 + rank
+        ids = np.empty(int(counts.sum()), dtype=np.int64)
+        xy = np.empty((ids.size, 2), dtype=np.float64)
+        ids[first] = np.array([h.sender for h in own_hellos], dtype=np.int64)
+        xy[first] = _positions(own_hellos)
+        ids[slots] = senders
+        xy[slots] = _positions(hellos.tolist())
+        return cls(counts, ids, xy[:, 0], xy[:, 1], normal_range)
+
+
+def _positions(hellos: Sequence[Hello]) -> np.ndarray:
+    """``(len(hellos), 2)`` advertised positions."""
+    return np.array([h.position for h in hellos], dtype=np.float64).reshape(-1, 2)
+
+
+def _chunks(counts: np.ndarray):
+    """``(start, stop)`` runs of views whose padded size fits the budget."""
+    start, width = 0, 0
+    for i, c in enumerate(counts.tolist()):
+        wider = max(width, c)
+        if i > start and (i + 1 - start) * wider * wider > KERNEL_CHUNK_ELEMENTS:
+            yield start, i
+            start, wider = i, c
+        width = wider
+    if counts.size:
+        yield start, counts.size
+
+
+def _tie_keys(ids: np.ndarray) -> np.ndarray:
+    """``(b, M, M)`` int64 keys ordering link (i, j) by (min id, max id)."""
+    base = int(ids.min())
+    span = int(ids.max()) - base + 1
+    a, b = ids[:, :, np.newaxis] - base, ids[:, np.newaxis, :] - base
+    # min*span + max == min*(span - 1) + a + b, built in place
+    key = np.minimum(a, b)
+    key *= span - 1
+    key += a
+    key += b
+    return key
+
+
+def _key_less(cost, key, target_cost, target_key) -> np.ndarray:
+    """Total order of links: ``(cost, key) < (target_cost, target_key)``."""
+    less = cost == target_cost
+    less &= key < target_key
+    less |= cost < target_cost
+    return less
+
+
+def _rng_survivors(adj, cost, ids) -> np.ndarray:
+    """Condition 1 for every owner: :func:`rng_removable_batch` per row.
+
+    ``witness[b, v, w]``: w is adjacent to owner and v, and both witness
+    links precede the direct link (owner, v) in the total order.
+    """
+    key = _tie_keys(ids)
+    target_cost = cost[:, 0, :, np.newaxis]
+    target_key = key[:, 0, :, np.newaxis]
+    witness = _key_less(cost, key, target_cost, target_key)
+    witness &= _key_less(
+        cost[:, 0, np.newaxis, :], key[:, 0, np.newaxis, :], target_cost, target_key
+    )
+    witness &= adj
+    witness &= adj[:, 0, np.newaxis, :]
+    return adj[:, 0, :] & ~witness.any(axis=2)
+
+
+def _spt_survivors(adj, cost, ids) -> np.ndarray:
+    """Condition 2 for every owner: one Dijkstra step for all rows at once.
+
+    Same visit order and float additions as :func:`spt_removable_batch`
+    (argmin ties break on the lower index); a row whose frontier is
+    exhausted relaxes from an infinite distance, which changes nothing.
+    """
+    b, m, _ = adj.shape
+    weights = np.where(adj, cost, np.inf)
+    dist = np.full((b, m), np.inf)
+    dist[:, 0] = 0.0
+    visited = np.zeros((b, m), dtype=bool)
+    rows = np.arange(b)
+    for _ in range(m):
+        candidates = np.where(visited, np.inf, dist)
+        i = np.argmin(candidates, axis=1)
+        visited[rows, i] = True
+        dist = np.minimum(dist, candidates[rows, i][:, np.newaxis] + weights[rows, i])
+    return adj[:, 0, :] & ~(dist < cost[:, 0, :])
+
+
+def _mst_survivors(adj, cost, ids) -> np.ndarray:
+    """Condition 3 for every owner: Prim's algorithm for all rows at once.
+
+    (owner, v) survives iff v joins the tree with the owner as parent, as
+    in :func:`mst_removable_batch`; the minimum is taken in the total order
+    of links (cost, then ids), which is what the per-node ranks realise.
+    Once a row's tree spans everything reachable from its owner, its later
+    steps pick a member already in the tree (rewriting the same flags) or
+    one unreachable from the owner, so they change none of its verdicts.
+    """
+    b, m, _ = adj.shape
+    top = np.iinfo(np.int64).max
+    link_cost = np.where(adj, cost, np.inf)
+    link_key = np.where(adj, _tie_keys(ids), top)
+    best_cost = link_cost[:, 0].copy()
+    best_key = link_key[:, 0].copy()
+    in_tree = np.zeros((b, m), dtype=bool)
+    in_tree[:, 0] = True
+    parent = np.zeros((b, m), dtype=np.intp)
+    owner_child = np.zeros((b, m), dtype=bool)
+    rows = np.arange(b)
+    for _ in range(m - 1):
+        candidates = np.where(in_tree, np.inf, best_cost)
+        low = candidates.min(axis=1, keepdims=True)
+        if not np.isfinite(low).any():
+            break
+        j = np.argmin(np.where(candidates == low, best_key, top), axis=1)
+        in_tree[rows, j] = True
+        owner_child[rows, j] = parent[rows, j] == 0
+        new_cost, new_key = link_cost[rows, j], link_key[rows, j]
+        improves = _key_less(new_cost, new_key, best_cost, best_key)
+        improves &= ~in_tree
+        parent[improves] = np.broadcast_to(j[:, np.newaxis], (b, m))[improves]
+        best_cost[improves] = new_cost[improves]
+        best_key[improves] = new_key[improves]
+    return adj[:, 0, :] & owner_child
+
+
+#: per-view batch predicate -> its whole-world kernel
+#: ``(adj, cost, ids) -> (b, M) survivor mask``
+VIEW_KERNELS = {
+    rng_removable_batch: _rng_survivors,
+    spt_removable_batch: _spt_survivors,
+    mst_removable_batch: _mst_survivors,
+}
+
+
+def decide_views(batch: ViewBatch, kernel, cost_model: CostModel) -> list[SelectionResult]:
+    """One :class:`SelectionResult` per view of *batch*, in one array pass.
+
+    Equal, view for view, to :func:`apply_removal_condition` on the view's
+    :class:`LocalCostGraph` with the per-view predicate *kernel* stands for
+    (see :data:`VIEW_KERNELS`).  Views are padded to ``(b, M, M)`` per
+    chunk; padding members are no one's neighbors.
+    """
+    results: list[SelectionResult] = []
+    counts = batch.counts
+    first = np.cumsum(counts) - counts
+    for start, stop in _chunks(counts):
+        c = counts[start:stop]
+        b, m = stop - start, int(c.max())
+        flat = slice(int(first[start]), int(first[start] + c.sum()))
+        row = np.repeat(np.arange(b), c)
+        col = np.arange(row.size) - (first[start:stop] - first[start])[row]
+        ids = np.full((b, m), batch.ids[flat.start], dtype=np.int64)
+        x = np.zeros((b, m))
+        y = np.zeros((b, m))
+        member = np.zeros((b, m), dtype=bool)
+        ids[row, col] = batch.ids[flat]
+        x[row, col] = batch.x[flat]
+        y[row, col] = batch.y[flat]
+        member[row, col] = True
+        # dist = sqrt(dx*dx + dy*dy) from separate x / y planes, in place:
+        # the same roundings as the per-view einsum over a (m, m, 2)
+        # difference tensor (pinned by tests/test_property_decide_batch.py),
+        # with two (b, M, M) temporaries.
+        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+        dist *= dist
+        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        adj = (
+            (dist <= batch.normal_range[start:stop, np.newaxis, np.newaxis])
+            & member[:, :, np.newaxis]
+            & member[:, np.newaxis, :]
+        )
+        adj[:, np.arange(m), np.arange(m)] = False
+        cost = np.asarray(cost_model.from_distance(dist), dtype=np.float64)
+        survive = kernel(adj, cost, ids)
+        ranges = np.where(survive, dist[:, 0, :], 0.0).max(axis=1).tolist()
+        owners = ids[:, 0].tolist()
+        hit_rows, hit_cols = np.nonzero(survive)
+        chosen = ids[hit_rows, hit_cols].tolist()
+        ends = np.cumsum(np.bincount(hit_rows, minlength=b)).tolist()
+        lo = 0
+        for owner, hi, reach in zip(owners, ends, ranges):
+            results.append(SelectionResult(owner, frozenset(chosen[lo:hi]), reach))
+            lo = hi
+    return results

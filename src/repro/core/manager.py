@@ -29,13 +29,16 @@ rules.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import BaselineConsistency, ConsistencyMechanism
+from repro.core.framework import SelectionResult
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
+from repro.telemetry.core import NULL_TELEMETRY
 from repro.util.errors import ProtocolError
 
 __all__ = ["NodeDecision", "MobilitySensitiveTopologyControl"]
@@ -159,29 +162,109 @@ class MobilitySensitiveTopologyControl:
         is returned with a refreshed ``decided_at`` — bit-identical to a
         recomputation, without building the cost graph.
         """
-        tel = self._telemetry
-        fingerprint: tuple | None = None
-        if self.decision_cache_enabled:
-            inputs = self.mechanism.decision_fingerprint(
-                table, now, current_hello, version=version
-            )
-            if inputs is None:
-                self.cache_uncacheable += 1
-            else:
-                fingerprint = (inputs, self.buffer_policy, self.physical_neighbor_mode)
-                cached = self._decision_cache.get(table.owner)
-                if cached is not None and cached[0] == fingerprint:
-                    self.cache_hits += 1
-                    if tel is not None:
-                        tel.count("decision_cache", outcome="hit")
-                        tel.event("decision_cache_hit", t=now, node=table.owner)
-                    decision = cached[1]
-                    if decision.decided_at == now:
-                        return decision
-                    return replace(decision, decided_at=now)
+        fingerprint, standing = self._lookup(table, now, current_hello, version)
+        if standing is not None:
+            if self._telemetry is not None:
+                self._note_hit(table.owner, now)
+            if standing.decided_at == now:
+                return standing
+            return replace(standing, decided_at=now)
         result = self.mechanism.decide(
             self.protocol, table, now, current_hello, version=version
         )
+        return self._settle(table.owner, now, fingerprint, result)
+
+    def decide_many(
+        self,
+        tables: Sequence[NeighborTable],
+        now: float,
+        current_hello: Callable[[NeighborTable], Hello],
+        version: int | None = None,
+    ) -> Iterator[NodeDecision | None]:
+        """:meth:`decide` for many owners at one instant, in table order.
+
+        *current_hello* maps a table to the Hello :meth:`decide` would be
+        given for its owner; it is called once per table.  Yields one
+        decision per table, or None where the owner cannot decide (its
+        :meth:`decide` would raise :class:`~repro.util.errors.ViewError`;
+        nothing is recorded for it).  Every owner first consults the
+        decision cache, exactly as :meth:`decide` does; the owners that
+        miss are then decided together by the mechanism's
+        :meth:`~repro.core.consistency.ConsistencyMechanism.decide_many`
+        (one array pass where the protocol has a kernel).  Counters,
+        standing decisions and telemetry records equal those of one
+        :meth:`decide` per table; each owner's records are emitted when
+        its decision is yielded, so a consumer's own per-owner records
+        interleave as they would around :meth:`decide`.
+        """
+        # Only the misses' inputs are kept: holding a fresh Hello and
+        # fingerprint per owner alive at once would trigger the cyclic
+        # garbage collector on every all-hit redecide of a large world.
+        standing: list[NodeDecision | None] = [None] * len(tables)
+        missed: list[int] = []
+        fingerprints: list[tuple | None] = []
+        currents: list[Hello] = []
+        for i, table in enumerate(tables):
+            current = current_hello(table)
+            fingerprint, standing[i] = self._lookup(table, now, current, version)
+            if standing[i] is None:
+                missed.append(i)
+                fingerprints.append(fingerprint)
+                currents.append(current)
+        tel = self._telemetry
+        decided: list[SelectionResult | None] = []
+        if missed:
+            decided = self.mechanism.decide_many(
+                self.protocol,
+                [tables[i] for i in missed],
+                now,
+                currents,
+                version=version,
+                spans=NULL_TELEMETRY if tel is None else tel,
+            )
+        fresh = zip(decided, fingerprints)
+        for table, decision in zip(tables, standing):
+            if decision is None:
+                result, fingerprint = next(fresh)
+                if result is None:
+                    yield None
+                else:
+                    yield self._settle(table.owner, now, fingerprint, result)
+                continue
+            if tel is not None:
+                self._note_hit(table.owner, now)
+            if decision.decided_at != now:
+                decision = replace(decision, decided_at=now)
+            yield decision
+
+    def _lookup(
+        self, table: NeighborTable, now: float, current_hello: Hello, version: int | None
+    ) -> tuple[tuple | None, NodeDecision | None]:
+        """(input fingerprint, the cached decision on a hit, not restamped)."""
+        if not self.decision_cache_enabled:
+            return None, None
+        inputs = self.mechanism.decision_fingerprint(
+            table, now, current_hello, version=version
+        )
+        if inputs is None:
+            self.cache_uncacheable += 1
+            return None, None
+        fingerprint = (inputs, self.buffer_policy, self.physical_neighbor_mode)
+        cached = self._decision_cache.get(table.owner)
+        if cached is None or cached[0] != fingerprint:
+            return fingerprint, None
+        self.cache_hits += 1
+        return fingerprint, cached[1]
+
+    def _note_hit(self, owner: int, now: float) -> None:
+        """Trace one cache hit (telemetry armed)."""
+        self._telemetry.count("decision_cache", outcome="hit")
+        self._telemetry.event("decision_cache_hit", t=now, node=owner)
+
+    def _settle(
+        self, owner: int, now: float, fingerprint: tuple | None, result: SelectionResult
+    ) -> NodeDecision:
+        """The decision of a fresh *result*: cache it and record the miss."""
         decision = NodeDecision(
             owner=result.owner,
             logical_neighbors=result.logical_neighbors,
@@ -191,7 +274,8 @@ class MobilitySensitiveTopologyControl:
         )
         if fingerprint is not None:
             self.cache_misses += 1
-            self._decision_cache[table.owner] = (fingerprint, decision)
+            self._decision_cache[owner] = (fingerprint, decision)
+        tel = self._telemetry
         if tel is not None:
             if fingerprint is not None:
                 outcome = "miss"
@@ -200,7 +284,7 @@ class MobilitySensitiveTopologyControl:
             else:
                 outcome = "disabled"
             tel.count("decision_cache", outcome=outcome)
-            tel.event("decision_cache_miss", t=now, node=table.owner, outcome=outcome)
+            tel.event("decision_cache_miss", t=now, node=owner, outcome=outcome)
         return decision
 
     # ------------------------------------------------------------------ #

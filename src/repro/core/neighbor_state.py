@@ -267,6 +267,63 @@ class NeighborState:
             if now - latest[slot] <= expiry
         }
 
+    # ------------------------------------------------------------------ #
+    # many-receiver reads (the whole-world decision kernel's view gather)
+
+    def _pairs(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row index, sender, slot)`` of every pair held at *rows*."""
+        directory = self._directory
+        counts: list[int] = []
+        senders: list[int] = []
+        slots: list[int] = []
+        for row in rows:
+            d = directory[row]
+            counts.append(len(d))
+            senders.extend(d)
+            slots.extend(d.values())
+        index = np.repeat(np.arange(len(counts)), counts)
+        return index, np.array(senders, dtype=np.int64), np.array(slots, dtype=np.intp)
+
+    def latest_live_many(
+        self, rows, now: float, expiry: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`latest_live` of many receivers as flat arrays.
+
+        Returns ``(index, sender, hello)``: entry *e* is the newest Hello
+        of ``sender[e]`` at ``rows[index[e]]``, for every sender live
+        under that row's ``expiry[index[e]]``.
+        """
+        index, senders, slots = self._pairs(rows)
+        live = now - self._latest_sent[slots] <= expiry[index]
+        index, senders, slots = index[live], senders[live], slots[live]
+        newest = self._hello[slots, (self._writes[slots] - 1) % self.k]
+        return index, senders, newest
+
+    def versioned_many(
+        self, rows, versions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Version-matched Hellos of many receivers as flat arrays.
+
+        Returns ``(index, sender, hello)``: entry *e* is the oldest
+        retained Hello of ``sender[e]`` at ``rows[index[e]]`` carrying
+        version ``versions[index[e]]`` — the per-pair pick of
+        :meth:`~repro.core.tables.NeighborTable.versioned_view`, which
+        ignores expiry.  Senders without such a Hello are absent.
+        """
+        index, senders, slots = self._pairs(rows)
+        k = self.k
+        writes = self._writes[slots][:, np.newaxis]
+        fill = np.minimum(writes, k)
+        age = np.arange(k)
+        pos = (writes - fill + age) % k
+        match = (age < fill) & (
+            self._version[slots[:, np.newaxis], pos] == versions[index][:, np.newaxis]
+        )
+        held = match.any(axis=1)
+        first = match.argmax(axis=1)
+        hellos = self._hello[slots[held], pos[held, first[held]]]
+        return index[held], senders[held], hellos
+
     @property
     def n_slots(self) -> int:
         """Total (receiver, sender) pairs ever allocated (diagnostics)."""

@@ -14,7 +14,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.core.costs import CostModel, DistanceCost
-from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_condition
+from repro.core.framework import (
+    VIEW_KERNELS,
+    LocalCostGraph,
+    SelectionResult,
+    apply_removal_condition,
+)
 from repro.core.views import LocalView, MultiVersionView
 from repro.util.errors import ProtocolError
 
@@ -75,6 +80,10 @@ class TopologyControlProtocol(ABC):
     name: str = ""
     #: True if select_conservative implements the enhanced conditions
     supports_conservative: bool = False
+    #: whole-world kernel deciding many single-version views in one array
+    #: pass (:func:`~repro.core.framework.decide_views`), or None: such
+    #: protocols decide view by view through :meth:`select`
+    view_kernel = None
 
     @abstractmethod
     def select(self, view: LocalView) -> SelectionResult:
@@ -118,6 +127,17 @@ class ConditionProtocol(TopologyControlProtocol):
     def select(self, view: LocalView) -> SelectionResult:
         graph = LocalCostGraph.from_local_view(view, self.cost_model)
         return apply_removal_condition(graph, self._removable)
+
+    @property
+    def view_kernel(self):
+        """The array kernel of :attr:`_removable`, if it has one.
+
+        None when a subclass overrides :meth:`select`: the kernel stands
+        for this class's selection only.
+        """
+        if type(self).select is not ConditionProtocol.select:
+            return None
+        return VIEW_KERNELS.get(self._removable)
 
     def select_conservative(self, view: MultiVersionView) -> SelectionResult:
         graph = LocalCostGraph.from_multi_version_view(view, self.cost_model)

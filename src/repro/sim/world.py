@@ -30,7 +30,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.manager import MobilitySensitiveTopologyControl
+from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.core.neighbor_state import NeighborState
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
@@ -898,6 +898,33 @@ class NetworkWorld:
             return memo[1][node_id]
         return self._oracle.node_position(node_id, t)
 
+    def _current_hello(self, node: SimNode, t: float) -> Hello:
+        """A Hello describing *node*'s true position at *t* (not sent)."""
+        # The per-tick memo makes packet-time recomputation share one
+        # vectorized mobility evaluation across all n redecisions.
+        pos = self._node_position(node.node_id, t)
+        return Hello(
+            sender=node.node_id,
+            version=node.next_version,
+            position=(float(pos[0]), float(pos[1])),
+            sent_at=t,
+            timestamp=self.clocks.local_time(node.node_id, t),
+        )
+
+    def _settle(
+        self, node: SimNode, decision: NodeDecision, t: float, tel: Telemetry
+    ) -> None:
+        """Install *node*'s new standing decision, tracing range changes."""
+        previous = node.decision
+        node.decision = decision
+        if previous is None or previous.extended_range != decision.extended_range:
+            tel.count("range_changes")
+            tel.event(
+                "range_change", t=t, node=node.node_id,
+                old=None if previous is None else previous.extended_range,
+                new=decision.extended_range,
+            )
+
     def decide_node(
         self,
         node_id: int,
@@ -908,35 +935,18 @@ class NetworkWorld:
         node = self.nodes[node_id]
         t = self.engine.now
         if current_hello is None:
-            # The per-tick memo makes packet-time recomputation share one
-            # vectorized mobility evaluation across all n redecisions.
-            pos = self._node_position(node_id, t)
-            current_hello = Hello(
-                sender=node_id,
-                version=node.next_version,
-                position=(float(pos[0]), float(pos[1])),
-                sent_at=t,
-                timestamp=self.clocks.local_time(node_id, t),
-            )
+            current_hello = self._current_hello(node, t)
         tel = self._tel
         if tel is None:
             node.decision = self.manager.decide(
                 node.table, t, current_hello, version=version
             )
             return
-        previous = node.decision
         with tel.span("decide"):
-            node.decision = self.manager.decide(
+            decision = self.manager.decide(
                 node.table, t, current_hello, version=version
             )
-        new = node.decision
-        if previous is None or previous.extended_range != new.extended_range:
-            tel.count("range_changes")
-            tel.event(
-                "range_change", t=t, node=node_id,
-                old=None if previous is None else previous.extended_range,
-                new=new.extended_range,
-            )
+        self._settle(node, decision, t, tel)
 
     def redecide_all(self, version: int | None = None) -> None:
         """Re-decide every node *now* — packet-time recomputation.
@@ -946,7 +956,10 @@ class NetworkWorld:
         forwarding node refreshes its logical set when it sends, and under
         the proactive scheme every node decides on the packet's *version*.
         Recomputing all nodes (not only eventual forwarders) is equivalent
-        for reachability and keeps the hot path vectorizable.
+        for reachability and keeps the hot path vectorizable: every node
+        that misses the decision cache is decided in one whole-world array
+        pass (:meth:`~repro.core.manager.MobilitySensitiveTopologyControl
+        .decide_many`).
         """
         tel = self._tel
         if tel is None:
@@ -958,20 +971,34 @@ class NetworkWorld:
     def _redecide_all_impl(self, version: int | None) -> None:
         inj = self.fault_injector
         now = self.engine.now
-        # Warm the per-tick geometry memo once: every decide below shares
-        # the single vectorized mobility evaluation (the per-node position
-        # route would otherwise run n single-row evals).
+        # Warm the per-tick geometry memo once: every current Hello the
+        # manager asks for reads the single vectorized mobility evaluation
+        # (the per-node position route would otherwise run n single-row
+        # evals).
         self._geometry(now)
-        for node in self.nodes:
-            if inj is not None and inj.node_down(node.node_id, now):
-                continue  # a crashed node forwards nothing and decides nothing
-            try:
-                self.decide_node(node.node_id, version=version)
-                node.packet_decisions += 1
-            except ViewError:
+        # A crashed node forwards nothing and decides nothing.
+        live = [
+            node for node in self.nodes
+            if inj is None or not inj.node_down(node.node_id, now)
+        ]
+        nodes = self.nodes
+        decisions = self.manager.decide_many(
+            [node.table for node in live],
+            now,
+            lambda table: self._current_hello(nodes[table.owner], now),
+            version=version,
+        )
+        tel = self._tel
+        for node, decision in zip(live, decisions):
+            if decision is None:
                 # A node that has never advertised cannot decide; it keeps
                 # (the absence of) its standing decision.
                 continue
+            if tel is None:
+                node.decision = decision
+            else:
+                self._settle(node, decision, now, tel)
+            node.packet_decisions += 1
 
     # ------------------------------------------------------------------ #
     # running & observing

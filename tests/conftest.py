@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.mobility.base import Area
+
+
+#: ``--hypothesis-profile=deep``: the larger example budget CI gives the
+#: bit-identity property suites (they scale their tier-1 budget off it)
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture
