@@ -1,11 +1,10 @@
-"""Decision-pipeline benchmark: fingerprint cache and the RNG batch kernel.
+"""Decision-pipeline benchmark: the whole-world kernel and the RNG batch kernel.
 
-Measures the incremental decision pipeline introduced with the
-view-fingerprint cache (see ``docs/PERFORMANCE.md``):
+Measures the decision pipeline (see ``docs/PERFORMANCE.md``):
 
 - ``redecide_all`` at the paper's scale (100 nodes) under view
-  synchronization, cache on vs cache off — packet-time recomputation with
-  an unchanged view must collapse to cache hits;
+  synchronization, the whole-world array pass vs one
+  ``mechanism.decide`` per owner on the same frozen world;
 - the batched :func:`~repro.core.framework.rng_removable_batch` kernel vs
   one :func:`~repro.core.framework.rng_removable` scan per link;
 - the sparse-first snapshot -> decide -> flood pipeline at
@@ -13,8 +12,7 @@ view-fingerprint cache (see ``docs/PERFORMANCE.md``):
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
 
 Outputs are asserted bit-identical between the compared variants before
-any timing — and the whole-world redecide against a per-node oracle loop —
-and ``BENCH_decide.json`` (median ns/op plus speedups) is written at the
+any timing, and ``BENCH_decide.json`` (median ns/op plus speedups) is written at the
 repository root for regression tracking.  ``--smoke`` writes the
 git-ignored ``BENCH_decide.smoke.json`` instead, so a smoke run never
 overwrites the full record.
@@ -99,7 +97,7 @@ def _per_node_decisions(world) -> list:
 
 
 def bench_redecide(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
-    """Time ``redecide_all`` cache-on vs cache-off at *n* nodes, view-sync."""
+    """Time ``redecide_all`` against the per-node decide loop, view-sync."""
     scale = Scale(
         name="bench",
         n_nodes=n,
@@ -114,36 +112,26 @@ def bench_redecide(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
         mean_speed=20.0,
         config=scale.config(),
     )
-    world_on = build_world(spec, seed)
-    world_off = build_world(spec, seed)
-    world_off.manager.decision_cache_enabled = False
-    world_on.run_until(warm_t)
-    world_off.run_until(warm_t)
+    world = build_world(spec, seed)
+    world.run_until(warm_t)
 
-    # Bit-identical decisions with the cache on and off, and equal to one
-    # per-node decision per owner, before any timing.
-    world_on.redecide_all()
-    world_off.redecide_all()
-    if _decisions(world_on) != _decisions(world_off):
-        raise AssertionError("decision cache changed redecide_all outputs")
-    if _decisions(world_off) != _per_node_decisions(world_off):
+    # The whole-world redecide equals one per-node decision per owner,
+    # bit for bit, before any timing.
+    world.redecide_all()
+    if _decisions(world) != _per_node_decisions(world):
         raise AssertionError("whole-world redecide diverges from per-node decide")
 
-    on_ns = _median_ns(world_on.redecide_all)
-    off_ns = _median_ns(world_off.redecide_all)
-    info = world_on.manager.cache_info()
+    batched_ns = _median_ns(world.redecide_all)
+    per_node_ns = _median_ns(lambda: _per_node_decisions(world))
     print(
-        f"redecide_all n={n:<4} cache-off={off_ns / 1e6:8.2f} ms   "
-        f"cache-on={on_ns / 1e6:8.2f} ms   {off_ns / on_ns:6.1f}x   "
-        f"(hits={info['decision_cache_hits']}, "
-        f"misses={info['decision_cache_misses']})"
+        f"redecide_all n={n:<4} per-node={per_node_ns / 1e6:8.2f} ms   "
+        f"batched={batched_ns / 1e6:8.2f} ms   {per_node_ns / batched_ns:6.1f}x"
     )
     return {
         "n": n,
-        "cache_off_ns": round(off_ns),
-        "cache_on_ns": round(on_ns),
-        "speedup": round(off_ns / on_ns, 2),
-        **info,
+        "per_node_ns": round(per_node_ns),
+        "batched_ns": round(batched_ns),
+        "speedup": round(per_node_ns / batched_ns, 2),
     }
 
 
@@ -276,7 +264,6 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
     if n >= SPARSE_SWITCH and snap.prefers_dense:
         raise AssertionError(f"snapshot at n={n} should be sparse-first")
     snapshot_ns = _median_ns(world.snapshot, budget_s=1.0)
-    world.redecide_all()  # prime the decision cache
     redecide_ns = _median_ns(world.redecide_all, budget_s=1.0)
     flood_ns = _median_ns(lambda: flood(world, 0), budget_s=2.0, min_reps=3)
     stats = world.neighbor_stats()
@@ -290,7 +277,7 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
         "n": n,
         "warmup_s": round(warm_s, 2),
         "snapshot_ns": round(snapshot_ns),
-        "redecide_cached_ns": round(redecide_ns),
+        "redecide_ns": round(redecide_ns),
         "flood_ns": round(flood_ns),
         **{f"neighbor_{k}": v for k, v in stats.items()},
     }
@@ -329,8 +316,8 @@ def test_decide_bench():
     payload = run_benchmark()
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUT}")
-    # Packet-time recomputation with an unchanged view must be dominated by
-    # cache hits: >= 3x over the uncached pipeline at the paper's scale.
+    # The whole-world kernel must beat one per-node decision per owner by
+    # >= 3x at the paper's scale.
     assert payload["results"]["redecide_all"]["100"]["speedup"] >= 3.0
 
 

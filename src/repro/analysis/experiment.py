@@ -245,7 +245,7 @@ def build_world(
 
 @dataclass(frozen=True)
 class RunStats:
-    """Typed per-run counters: channel, decision cache, faults, telemetry.
+    """Typed per-run counters: channel, faults, gossip, telemetry.
 
     Every counter the run produced, as a named field with a fixed type.
     :meth:`as_dict` gives the flat dict shape (``fault_*`` keys present
@@ -255,9 +255,6 @@ class RunStats:
     ----------
     hello_messages .. collisions:
         The channel's :class:`~repro.sim.radio.ChannelStats` counters.
-    decision_cache_hits / decision_cache_misses / decision_cache_uncacheable:
-        The manager's view-fingerprint decision-cache counters
-        (:meth:`~repro.core.manager.MobilitySensitiveTopologyControl.cache_info`).
     fault_*:
         Injected-disturbance counters; all zero unless *faults_armed*.
     faults_armed:
@@ -286,9 +283,6 @@ class RunStats:
     collisions: int = 0
     propagation_losses: int = 0
     propagation: str = "unit-disk"
-    decision_cache_hits: int = 0
-    decision_cache_misses: int = 0
-    decision_cache_uncacheable: int = 0
     fault_hello_drops: int = 0
     fault_suppressed_sends: int = 0
     fault_blocked_receptions: int = 0
@@ -310,7 +304,6 @@ class RunStats:
         """Collect every counter from a finished world."""
         return cls(
             **world.channel.stats.as_dict(),
-            **world.manager.cache_info(),
             **world.fault_stats(),
             **world.gossip_stats(),
             faults_armed=world.fault_injector is not None,
@@ -334,9 +327,6 @@ class RunStats:
             "deliveries": self.deliveries,
             "hello_losses": self.hello_losses,
             "collisions": self.collisions,
-            "decision_cache_hits": self.decision_cache_hits,
-            "decision_cache_misses": self.decision_cache_misses,
-            "decision_cache_uncacheable": self.decision_cache_uncacheable,
         }
         if self.propagation != "unit-disk":
             out["propagation"] = self.propagation
@@ -359,22 +349,14 @@ class RunStats:
             )
         return out
 
-    def cache_info(self) -> dict[str, int]:
-        """Decision-cache counters alone, ``cache_info()``-shaped."""
-        return {
-            "decision_cache_hits": self.decision_cache_hits,
-            "decision_cache_misses": self.decision_cache_misses,
-            "decision_cache_uncacheable": self.decision_cache_uncacheable,
-        }
-
 
 @dataclass(frozen=True)
 class RunResult:
     """Per-sample series of one simulation run.
 
     ``stats`` is the typed :class:`RunStats` record — channel message
-    counters, the manager's decision-cache counters, fault-injection
-    counters, and (when the run was traced) the telemetry summary.
+    counters, fault-injection and gossip counters, and (when the run was
+    traced) the telemetry summary.
     """
 
     spec: ExperimentSpec

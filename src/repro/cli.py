@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-differential", dest="differential", action="store_false",
-        help="skip the decision-cache-disabled twin runs",
+        help="skip the per-node redecide twin runs (the kernel differential)",
     )
     p.add_argument(
         "--no-shrink", dest="shrink", action="store_false",

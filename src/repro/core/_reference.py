@@ -5,7 +5,7 @@ kept verbatim as the *semantic specification* of the columnar
 :class:`repro.core.tables.NeighborTable` the simulator runs on.  The
 differential suite (``tests/test_property_tables.py``) drives random
 ``record_own`` / ``record_hello`` / ``prune`` streams into both and
-asserts equal tokens, views, histories and counters.
+asserts equal live neighbours, views, histories and counters.
 
 Test oracle only: no runtime module imports it.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.tables import _TABLE_UIDS
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
@@ -53,12 +52,6 @@ class NeighborTable:
         self._records: dict[int, deque[Hello]] = {}
         self._own: deque[Hello] = deque(maxlen=self.history_depth)
         self.hellos_received = 0
-        #: unique per-instance identity + monotone content revision; together
-        #: they identify the retained Hello state exactly (every mutation of
-        #: the records or own history bumps ``mutations``), which is what the
-        #: decision cache fingerprints instead of hashing all stored Hellos.
-        self.uid = next(_TABLE_UIDS)
-        self.mutations = 0
 
     # ------------------------------------------------------------------ #
     # recording
@@ -68,7 +61,6 @@ class NeighborTable:
         if hello.sender != self.owner:
             raise ViewError(f"record_own got a Hello from {hello.sender}, not {self.owner}")
         self._own.append(hello)
-        self.mutations += 1
 
     def record_hello(self, hello: Hello) -> None:
         """Store a received neighbor Hello (keeps the newest ``k``)."""
@@ -80,7 +72,6 @@ class NeighborTable:
             self._records[hello.sender] = queue
         queue.append(hello)
         self.hellos_received += 1
-        self.mutations += 1
 
     def prune(self, now: float) -> None:
         """Drop neighbors not heard from within the expiry window."""
@@ -89,8 +80,6 @@ class NeighborTable:
         ]
         for nid in stale:
             del self._records[nid]
-        if stale:
-            self.mutations += 1
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -123,38 +112,6 @@ class NeighborTable:
     def message_versions_in_use(self, neighbor: int) -> set[int]:
         """Versions of *neighbor*'s Hellos currently retained (``M(t, v)``)."""
         return {h.version for h in self.history_of(neighbor)}
-
-    # ------------------------------------------------------------------ #
-    # decision-cache tokens
-
-    def live_view_token(self, now: float) -> tuple:
-        """Hashable token identifying every expiry-filtered view at *now*.
-
-        ``(uid, mutations)`` pins the exact retained Hello state (member
-        ids, versions, advertised positions); the live-neighbor id tuple
-        additionally pins which of those neighbors the ``[t - expiry, t]``
-        rule admits, which can change with *now* alone.  Two equal tokens
-        therefore guarantee :meth:`latest_view` and :meth:`multi_view`
-        (up to the separately supplied own Hello) produce equal views.
-        """
-        return (
-            self.uid,
-            self.mutations,
-            tuple(
-                nid
-                for nid, q in self._records.items()
-                if now - q[-1].sent_at <= self.expiry
-            ),
-        )
-
-    def full_token(self) -> tuple:
-        """Hashable token identifying the complete retained Hello state.
-
-        Versioned views ignore the expiry window, so ``(uid, mutations)``
-        alone pins every :meth:`versioned_view` and the
-        :meth:`available_versions` fallback resolution.
-        """
-        return (self.uid, self.mutations)
 
     # ------------------------------------------------------------------ #
     # view materialisation

@@ -93,23 +93,6 @@ class ConsistencyMechanism(ABC):
             Global Hello version a packet mandates (proactive/reactive).
         """
 
-    def decision_fingerprint(
-        self,
-        table: NeighborTable,
-        now: float,
-        current_hello: Hello,
-        version: int | None = None,
-    ) -> tuple | None:
-        """Hashable value pinning every input :meth:`decide` reads, or None.
-
-        Equal fingerprints MUST imply equal :meth:`decide` outputs — the
-        decision cache in
-        :class:`~repro.core.manager.MobilitySensitiveTopologyControl` is an
-        equality-of-inputs memo, not an approximation.  A mechanism whose
-        inputs cannot be pinned cheaply returns None (never cached).
-        """
-        return None
-
     #: ``gather_views(tables, now, current_hellos, version=None)`` returns
     #: ``(batch, kept)``: the single-version decision views of many owners
     #: as one :class:`~repro.core.framework.ViewBatch`, read straight from
@@ -134,7 +117,7 @@ class ConsistencyMechanism(ABC):
         None stands for an owner that cannot decide (:class:`ViewError`).
         When *protocol* has an array kernel
         (:attr:`~repro.protocols.base.TopologyControlProtocol.view_kernel`),
-        this mechanism a :attr:`gather_views` and the tables share one
+        this mechanism has a :attr:`gather_views` and the tables share one
         store, all views are gathered in one pass (span ``redecide_view``)
         and decided in one array pass (span ``redecide_kernel``); otherwise
         every owner runs :meth:`decide` (span ``redecide_kernel``).
@@ -181,12 +164,6 @@ class BaselineConsistency(ConsistencyMechanism):
         view = table.latest_view(now, own_hello=current_hello)
         return protocol.select(view)
 
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        # The selection reads the live latest Hellos plus the node's current
-        # true position; under mobility the latter changes per call, so hits
-        # occur only while the node is stationary between table changes.
-        return (self.name, table.live_view_token(now), current_hello.position)
-
 
 class ViewSynchronization(ConsistencyMechanism):
     """On-the-fly almost-consistent views (Section 5.1, "view synchronization").
@@ -224,13 +201,6 @@ class ViewSynchronization(ConsistencyMechanism):
         )
         ranges = np.array([table.normal_range for table in tables])
         return ViewBatch.assemble(owns, index, senders, hellos, ranges), range(len(tables))
-
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        # The own position is the *last advertised* one, which only changes
-        # with a table mutation — this is what makes packet-time
-        # recomputation (redecide_all) near-free between Hello generations.
-        own = table.last_advertised or current_hello
-        return (self.name, table.live_view_token(now), own.position)
 
 
 class ProactiveConsistency(ConsistencyMechanism):
@@ -297,12 +267,6 @@ class ProactiveConsistency(ConsistencyMechanism):
         ranges = np.array([tables[i].normal_range for i in kept])
         return ViewBatch.assemble(owns, index, senders, hellos, ranges), kept
 
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        # Versioned views ignore the expiry window and never read the
-        # current true position; the full retained state plus the requested
-        # version pin the decision (including the fallback resolution).
-        return (self.name, table.full_token(), version)
-
 
 class ReactiveConsistency(ProactiveConsistency):
     """Strong consistency from synchronized Hello rounds (reactive approach).
@@ -337,12 +301,6 @@ class WeakConsistency(ConsistencyMechanism):
     def decide(self, protocol, table, now, current_hello, version=None):
         view = table.multi_view(now, own_hello=current_hello)
         return protocol.select_conservative(view)
-
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        # The conservative view spans the retained histories plus the
-        # node's current true position (appended as the freshest own
-        # record), so mobility keeps this missing like the baseline.
-        return (self.name, table.live_view_token(now), current_hello.position)
 
     def __repr__(self) -> str:
         return f"WeakConsistency(history_depth={self.history_depth})"
@@ -404,13 +362,6 @@ class GossipConsistency(ConsistencyMechanism):
             own = current_hello
         view = table.latest_view(now, own_hello=own)
         return protocol.select(view)
-
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        # Every gossip merge records through the table and therefore bumps
-        # its mutation counter, so the live-view token invalidates cached
-        # decisions exactly when epidemic state arrives.
-        own = table.last_advertised or current_hello
-        return (self.name, table.live_view_token(now), own.position)
 
     def staleness_bound(self, n_nodes: int) -> float:
         """Worst-case extra view lag in seconds at population *n_nodes*.

@@ -15,22 +15,15 @@ position into a :class:`NodeDecision`.  The simulator calls it at Hello
 time and (for packet-recomputing mechanisms) at forward time; library
 users can call it directly on hand-built tables.
 
-Because the paper's decisions are made from *stale, asynchronously
-collected* views, most consecutive decisions at a node see identical
-inputs — every packet-time recomputation between two Hello generations,
-for instance.  :meth:`MobilitySensitiveTopologyControl.decide` therefore
-keeps a **view-fingerprint decision cache**: an equality-of-inputs memo
-(never an approximation) that returns the standing selection when the
-mechanism's declared inputs are unchanged, skipping cost-graph
-construction and the removal predicate entirely.  See
-``docs/PERFORMANCE.md`` for the fingerprint contents and invalidation
-rules.
+Packet-time recomputation of a whole world goes through
+:meth:`MobilitySensitiveTopologyControl.decide_many`, one array pass
+where the protocol has a kernel (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 from repro.core.buffer_zone import BufferZonePolicy
 from repro.core.consistency import BaselineConsistency, ConsistencyMechanism
@@ -84,12 +77,6 @@ class MobilitySensitiveTopologyControl:
         When True, receivers accept data packets from *any* in-range
         sender ("enabling physical neighbors", Section 5.1); the logical
         set still determines each node's transmission range.
-    decision_cache:
-        Enable the view-fingerprint decision cache (default: the class
-        attribute :attr:`decision_cache_default`, normally True).  The
-        cache never changes outputs — it only skips recomputation when a
-        decision's inputs are provably unchanged; disable it to benchmark
-        the uncached path or to rule it out while debugging.
 
     Examples
     --------
@@ -101,33 +88,19 @@ class MobilitySensitiveTopologyControl:
     'rng+baseline+buf10'
     """
 
-    #: default for the ``decision_cache`` constructor argument; tests and
-    #: benchmarks flip this to compare cached vs uncached pipelines.
-    decision_cache_default: bool = True
-
     def __init__(
         self,
         protocol: TopologyControlProtocol,
         mechanism: ConsistencyMechanism | None = None,
         buffer_policy: BufferZonePolicy | None = None,
         physical_neighbor_mode: bool = False,
-        decision_cache: bool | None = None,
     ) -> None:
         self.protocol = protocol
         self.mechanism = mechanism or BaselineConsistency()
         self.buffer_policy = buffer_policy or BufferZonePolicy(width=0.0)
         self.physical_neighbor_mode = bool(physical_neighbor_mode)
-        self.decision_cache_enabled = bool(
-            self.decision_cache_default if decision_cache is None else decision_cache
-        )
-        #: per-owner standing decision keyed by its input fingerprint
-        self._decision_cache: dict[int, tuple[tuple, NodeDecision]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_uncacheable = 0
-        # Armed telemetry or None (attach_telemetry); one None check on
-        # the decide() path when disarmed — the fault-seam pattern.
-        self._telemetry = None
+        #: span collector of decide_many (attach_telemetry)
+        self._spans = NULL_TELEMETRY
         if (
             self.mechanism.name == "weak"
             and not protocol.supports_conservative
@@ -154,25 +127,11 @@ class MobilitySensitiveTopologyControl:
         current_hello: Hello,
         version: int | None = None,
     ) -> NodeDecision:
-        """Make a full topology control decision for one node.
-
-        When the decision cache is enabled and the mechanism's declared
-        inputs (view fingerprint + requested version + buffer policy) are
-        unchanged since the owner's last decision, the standing decision
-        is returned with a refreshed ``decided_at`` — bit-identical to a
-        recomputation, without building the cost graph.
-        """
-        fingerprint, standing = self._lookup(table, now, current_hello, version)
-        if standing is not None:
-            if self._telemetry is not None:
-                self._note_hit(table.owner, now)
-            if standing.decided_at == now:
-                return standing
-            return replace(standing, decided_at=now)
+        """Make a full topology control decision for one node."""
         result = self.mechanism.decide(
             self.protocol, table, now, current_hello, version=version
         )
-        return self._settle(table.owner, now, fingerprint, result)
+        return self._decision(now, result)
 
     def decide_many(
         self,
@@ -180,112 +139,40 @@ class MobilitySensitiveTopologyControl:
         now: float,
         current_hello: Callable[[NeighborTable], Hello],
         version: int | None = None,
-    ) -> Iterator[NodeDecision | None]:
+    ) -> list[NodeDecision | None]:
         """:meth:`decide` for many owners at one instant, in table order.
 
         *current_hello* maps a table to the Hello :meth:`decide` would be
-        given for its owner; it is called once per table.  Yields one
+        given for its owner; it is called once per table.  Returns one
         decision per table, or None where the owner cannot decide (its
-        :meth:`decide` would raise :class:`~repro.util.errors.ViewError`;
-        nothing is recorded for it).  Every owner first consults the
-        decision cache, exactly as :meth:`decide` does; the owners that
-        miss are then decided together by the mechanism's
+        :meth:`decide` would raise :class:`~repro.util.errors.ViewError`).
+        The owners are decided together by the mechanism's
         :meth:`~repro.core.consistency.ConsistencyMechanism.decide_many`
-        (one array pass where the protocol has a kernel).  Counters,
-        standing decisions and telemetry records equal those of one
-        :meth:`decide` per table; each owner's records are emitted when
-        its decision is yielded, so a consumer's own per-owner records
-        interleave as they would around :meth:`decide`.
+        (one array pass where the protocol has a kernel), with results
+        equal to one :meth:`decide` per table.
         """
-        # Only the misses' inputs are kept: holding a fresh Hello and
-        # fingerprint per owner alive at once would trigger the cyclic
-        # garbage collector on every all-hit redecide of a large world.
-        standing: list[NodeDecision | None] = [None] * len(tables)
-        missed: list[int] = []
-        fingerprints: list[tuple | None] = []
-        currents: list[Hello] = []
-        for i, table in enumerate(tables):
-            current = current_hello(table)
-            fingerprint, standing[i] = self._lookup(table, now, current, version)
-            if standing[i] is None:
-                missed.append(i)
-                fingerprints.append(fingerprint)
-                currents.append(current)
-        tel = self._telemetry
-        decided: list[SelectionResult | None] = []
-        if missed:
-            decided = self.mechanism.decide_many(
-                self.protocol,
-                [tables[i] for i in missed],
-                now,
-                currents,
-                version=version,
-                spans=NULL_TELEMETRY if tel is None else tel,
-            )
-        fresh = zip(decided, fingerprints)
-        for table, decision in zip(tables, standing):
-            if decision is None:
-                result, fingerprint = next(fresh)
-                if result is None:
-                    yield None
-                else:
-                    yield self._settle(table.owner, now, fingerprint, result)
-                continue
-            if tel is not None:
-                self._note_hit(table.owner, now)
-            if decision.decided_at != now:
-                decision = replace(decision, decided_at=now)
-            yield decision
-
-    def _lookup(
-        self, table: NeighborTable, now: float, current_hello: Hello, version: int | None
-    ) -> tuple[tuple | None, NodeDecision | None]:
-        """(input fingerprint, the cached decision on a hit, not restamped)."""
-        if not self.decision_cache_enabled:
-            return None, None
-        inputs = self.mechanism.decision_fingerprint(
-            table, now, current_hello, version=version
+        results = self.mechanism.decide_many(
+            self.protocol,
+            tables,
+            now,
+            [current_hello(table) for table in tables],
+            version=version,
+            spans=self._spans,
         )
-        if inputs is None:
-            self.cache_uncacheable += 1
-            return None, None
-        fingerprint = (inputs, self.buffer_policy, self.physical_neighbor_mode)
-        cached = self._decision_cache.get(table.owner)
-        if cached is None or cached[0] != fingerprint:
-            return fingerprint, None
-        self.cache_hits += 1
-        return fingerprint, cached[1]
+        return [
+            None if result is None else self._decision(now, result)
+            for result in results
+        ]
 
-    def _note_hit(self, owner: int, now: float) -> None:
-        """Trace one cache hit (telemetry armed)."""
-        self._telemetry.count("decision_cache", outcome="hit")
-        self._telemetry.event("decision_cache_hit", t=now, node=owner)
-
-    def _settle(
-        self, owner: int, now: float, fingerprint: tuple | None, result: SelectionResult
-    ) -> NodeDecision:
-        """The decision of a fresh *result*: cache it and record the miss."""
-        decision = NodeDecision(
+    def _decision(self, now: float, result: SelectionResult) -> NodeDecision:
+        """The standing decision of a fresh selection *result*."""
+        return NodeDecision(
             owner=result.owner,
             logical_neighbors=result.logical_neighbors,
             actual_range=result.actual_range,
             extended_range=self.buffer_policy.extended_range(result.actual_range),
             decided_at=now,
         )
-        if fingerprint is not None:
-            self.cache_misses += 1
-            self._decision_cache[owner] = (fingerprint, decision)
-        tel = self._telemetry
-        if tel is not None:
-            if fingerprint is not None:
-                outcome = "miss"
-            elif self.decision_cache_enabled:
-                outcome = "uncacheable"
-            else:
-                outcome = "disabled"
-            tel.count("decision_cache", outcome=outcome)
-            tel.event("decision_cache_miss", t=now, node=owner, outcome=outcome)
-        return decision
 
     # ------------------------------------------------------------------ #
     # telemetry
@@ -293,30 +180,14 @@ class MobilitySensitiveTopologyControl:
     def attach_telemetry(self, telemetry) -> None:
         """Install (or clear, with None) a telemetry collector.
 
-        Armed, :meth:`decide` mirrors the cache counters into the
-        ``decision_cache{outcome=...}`` series and appends
-        ``decision_cache_hit`` / ``decision_cache_miss`` events; disarmed
-        (None or a :class:`~repro.telemetry.NullTelemetry`), the decide
-        path pays one ``None`` check.
+        Armed, :meth:`decide_many` times its view gather and kernel under
+        the ``redecide_view`` / ``redecide_kernel`` spans; disarmed (None
+        or a :class:`~repro.telemetry.NullTelemetry`), those spans are
+        no-ops.
         """
-        if telemetry is not None and not getattr(telemetry, "enabled", True):
-            telemetry = None
-        self._telemetry = telemetry
-
-    # ------------------------------------------------------------------ #
-    # decision-cache maintenance
-
-    def cache_info(self) -> dict[str, int]:
-        """Decision-cache counters, ``RunStats``-field-named (for reports)."""
-        return {
-            "decision_cache_hits": self.cache_hits,
-            "decision_cache_misses": self.cache_misses,
-            "decision_cache_uncacheable": self.cache_uncacheable,
-        }
-
-    def clear_decision_cache(self) -> None:
-        """Drop all standing decisions (counters are kept)."""
-        self._decision_cache.clear()
+        if telemetry is None or not getattr(telemetry, "enabled", True):
+            telemetry = NULL_TELEMETRY
+        self._spans = telemetry
 
     def describe(self) -> str:
         """Compact configuration label used in reports and figures."""

@@ -13,11 +13,11 @@ The semantics are those of the dict-of-deques reference table
 
 - per-receiver sender *insertion order* is preserved (an insertion-ordered
   ``dict[sender -> slot]`` directory per receiver), which is what keeps
-  ``live_view_token`` orderings and view dict iteration identical;
+  live-neighbour orderings and view dict iteration identical;
 - per-pair histories are bounded rings of depth ``k`` (oldest evicted),
   the exact ``deque(maxlen=k)`` behaviour;
-- ``mutations`` / ``hellos_received`` counters live in flat per-node
-  arrays and follow the same increment rules.
+- the ``hellos_received`` counter lives in a flat per-node array and
+  follows the same increment rule.
 
 The rings hold references to the recorded :class:`~repro.core.views.Hello`
 objects themselves (one frozen object per transmission, shared by all its
@@ -56,7 +56,6 @@ class NeighborState:
     __slots__ = (
         "n_nodes",
         "k",
-        "mutations",
         "hellos_received",
         "_directory",
         "_hello",
@@ -70,10 +69,9 @@ class NeighborState:
     def __init__(self, n_nodes: int, history_depth: int) -> None:
         self.n_nodes = check_int_range("n_nodes", n_nodes, 1)
         self.k = check_int_range("history_depth", history_depth, 1)
-        self.mutations = np.zeros(n_nodes, dtype=np.int64)
         self.hellos_received = np.zeros(n_nodes, dtype=np.int64)
         #: per-receiver ``{sender: slot}``; dict insertion order *is* the
-        #: reference table's record order, which the view tokens depend on.
+        #: reference table's record order, which view iteration follows.
         self._directory: list[dict[int, int]] = [{} for _ in range(n_nodes)]
         cap = 16 * n_nodes
         #: the recorded Hello objects themselves (shared by every receiver
@@ -151,7 +149,6 @@ class NeighborState:
         self._writes[slots] += 1
         self._latest_sent[slots] = hello.sent_at
         self.hellos_received[receivers] += 1
-        self.mutations[receivers] += 1
 
     def record_one(self, receiver: int, hello: Hello) -> None:
         """Single-receiver form of :meth:`record_batch`."""
@@ -168,7 +165,6 @@ class NeighborState:
         self._writes[slot] += 1
         self._latest_sent[slot] = hello.sent_at
         self.hellos_received[receiver] += 1
-        self.mutations[receiver] += 1
 
     def newest_versions(self, sender: int, receivers: np.ndarray) -> np.ndarray:
         """Newest retained version of *sender*'s Hellos at each receiver.
@@ -192,8 +188,7 @@ class NeighborState:
     def prune(self, receiver: int, now: float, expiry: float) -> bool:
         """Drop *receiver*'s pairs not heard from within *expiry* seconds.
 
-        Returns True (and bumps the receiver's mutation counter once, the
-        reference-table rule) when anything was dropped.  Dropped slots are
+        Returns True when anything was dropped.  Dropped slots are
         never reused; the per-sender slot caches touching them are
         invalidated so a later Hello from the same sender starts a fresh
         history, exactly like a fresh deque.
@@ -208,7 +203,6 @@ class NeighborState:
         for s in stale:
             del d[s]
             self._slot_cache.pop(s, None)
-        self.mutations[receiver] += 1
         return True
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,6 @@ table survives as the test oracle in :mod:`repro.core._reference`.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 
 from repro.core.neighbor_state import NeighborState
@@ -28,9 +27,6 @@ from repro.util.errors import ViewError
 from repro.util.validate import check_int_range, check_positive
 
 __all__ = ["NeighborTable"]
-
-#: process-wide table identities for the decision-cache fingerprints
-_TABLE_UIDS = itertools.count()
 
 
 class NeighborTable:
@@ -78,12 +74,6 @@ class NeighborTable:
         self._state = state
         self._row = row
         self._own: deque[Hello] = deque(maxlen=self.history_depth)
-        #: unique per-instance identity; with the store's monotone
-        #: per-row ``mutations`` revision (bumped by every change to the
-        #: records or own history) it identifies the retained Hello state
-        #: exactly, which is what the decision cache fingerprints instead
-        #: of hashing all stored Hellos.
-        self.uid = next(_TABLE_UIDS)
 
     @property
     def state(self) -> NeighborState:
@@ -100,11 +90,6 @@ class NeighborTable:
         """Neighbor Hellos recorded so far."""
         return int(self._state.hellos_received[self._row])
 
-    @property
-    def mutations(self) -> int:
-        """Content revision: bumped by every change to the retained state."""
-        return int(self._state.mutations[self._row])
-
     # ------------------------------------------------------------------ #
     # recording
 
@@ -113,7 +98,6 @@ class NeighborTable:
         if hello.sender != self.owner:
             raise ViewError(f"record_own got a Hello from {hello.sender}, not {self.owner}")
         self._own.append(hello)
-        self._state.mutations[self._row] += 1
 
     def record_hello(self, hello: Hello) -> None:
         """Store a received neighbor Hello (keeps the newest ``k``)."""
@@ -151,34 +135,6 @@ class NeighborTable:
     def message_versions_in_use(self, neighbor: int) -> set[int]:
         """Versions of *neighbor*'s Hellos currently retained (``M(t, v)``)."""
         return {h.version for h in self.history_of(neighbor)}
-
-    # ------------------------------------------------------------------ #
-    # decision-cache tokens
-
-    def live_view_token(self, now: float) -> tuple:
-        """Hashable token identifying every expiry-filtered view at *now*.
-
-        ``(uid, mutations)`` pins the exact retained Hello state (member
-        ids, versions, advertised positions); the live-neighbor id tuple
-        additionally pins which of those neighbors the ``[t - expiry, t]``
-        rule admits, which can change with *now* alone.  Two equal tokens
-        therefore guarantee :meth:`latest_view` and :meth:`multi_view`
-        (up to the separately supplied own Hello) produce equal views.
-        """
-        return (
-            self.uid,
-            self.mutations,
-            self._state.live_ids(self._row, now, self.expiry),
-        )
-
-    def full_token(self) -> tuple:
-        """Hashable token identifying the complete retained Hello state.
-
-        Versioned views ignore the expiry window, so ``(uid, mutations)``
-        alone pins every :meth:`versioned_view` and the
-        :meth:`available_versions` fallback resolution.
-        """
-        return (self.uid, self.mutations)
 
     # ------------------------------------------------------------------ #
     # view materialisation

@@ -57,8 +57,9 @@ from repro.faults.schedule import (
 from repro.mobility.base import Area
 from repro.protocols.base import make_protocol
 from repro.sim.config import ScenarioConfig
+from repro.sim.flood import flood
 from repro.sim.world import NetworkWorld
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ViewError
 from repro.util.randomness import SeedSequenceFactory
 
 __all__ = [
@@ -98,11 +99,13 @@ class BrokenViewSync(ViewSynchronization):
     the classic "forgot the liveness check" bug.  Fault-free it behaves
     like the real mechanism (neighbors refresh every interval), but any
     fault that silences a selected neighbor beyond the expiry window makes
-    it keep a dead selection, which the freshness oracle flags.  The
-    fingerprint is None so the decision cache can never mask the bug.
+    it keep a dead selection, which the freshness oracle flags.  It has
+    no batched gather, so packet-time redecisions run the broken
+    :meth:`decide` too.
     """
 
     name = "broken-view-sync"
+    gather_views = None
 
     def decide(self, protocol, table, now, current_hello, version=None):
         own = table.last_advertised
@@ -119,9 +122,6 @@ class BrokenViewSync(ViewSynchronization):
             sampled_at=now,
         )
         return protocol.select(view)
-
-    def decision_fingerprint(self, table, now, current_hello, version=None):
-        return None
 
 
 # --------------------------------------------------------------------- #
@@ -212,9 +212,7 @@ def load_case(path: str | Path) -> FuzzCase:
 # world construction + execution
 
 
-def build_fuzz_world(
-    case: FuzzCase, decision_cache: bool | None = None
-) -> NetworkWorld:
+def build_fuzz_world(case: FuzzCase) -> NetworkWorld:
     """Wire the world a :class:`FuzzCase` describes.
 
     Mirrors :func:`repro.analysis.experiment.build_world` but understands
@@ -236,7 +234,6 @@ def build_fuzz_world(
         mechanism=mechanism,
         buffer_policy=BufferZonePolicy(width=spec.buffer_width, cap=cap),
         physical_neighbor_mode=spec.physical_neighbor_mode,
-        decision_cache=decision_cache,
     )
     return NetworkWorld(
         spec.config, mobility, manager, seed=case.seed, faults=case.schedule
@@ -245,6 +242,29 @@ def build_fuzz_world(
 
 def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(cfg.warmup, cfg.duration + 1e-9, 1.0 / cfg.sample_rate)
+
+
+def _per_node_redecide(world: NetworkWorld) -> Callable[..., None]:
+    """The oracle for *world*'s ``redecide_all``: one ``decide_node`` per node.
+
+    Install it as ``world.redecide_all`` to get a twin whose packet-time
+    decisions take the per-node route instead of the whole-world kernel.
+    """
+
+    def redecide_all(version: int | None = None) -> None:
+        inj = world.fault_injector
+        now = world.engine.now
+        world._geometry(now)
+        for node in world.nodes:
+            if inj is not None and inj.node_down(node.node_id, now):
+                continue
+            try:
+                world.decide_node(node.node_id, version=version)
+            except ViewError:
+                continue
+            node.packet_decisions += 1
+
+    return redecide_all
 
 
 def _decision_state(world: NetworkWorld) -> tuple:
@@ -286,6 +306,12 @@ def run_case(
 ) -> CaseResult:
     """Execute one case and collect every oracle finding.
 
+    Like :func:`repro.analysis.experiment.run_once`, every sampling
+    instant first runs one flood probe from a source drawn from the
+    ``"flood-sources"`` seed stream, so packet-recomputing mechanisms
+    re-decide there (:meth:`~repro.sim.world.NetworkWorld.redecide_all`)
+    before the oracles read the standing decisions.
+
     Parameters
     ----------
     deep:
@@ -293,14 +319,19 @@ def run_case(
         event hook) rather than only at sampling instants — slower but
         catches transient violations between samples.
     differential:
-        Also run a decision-cache-disabled twin of the same case and
-        require identical standing decisions at every sampling instant
-        (the cache must be a pure memo even under faults).
+        Also run a twin of the same case whose packet-time
+        ``redecide_all`` is the per-node loop (:func:`_per_node_redecide`),
+        flooded from the same sources, and require identical standing
+        decisions at every sampling instant (the whole-world kernel must
+        equal per-node selection even under faults).
     stop_at_first:
         Return at the first violating instant (the shrinker's fast path).
     """
     world = build_fuzz_world(case)
-    twin = build_fuzz_world(case, decision_cache=False) if differential else None
+    twin = None
+    if differential:
+        twin = build_fuzz_world(case)
+        twin.redecide_all = _per_node_redecide(twin)
     findings: list[OracleFinding] = []
     if deep:
         last_audited = [float("nan")]
@@ -313,17 +344,21 @@ def run_case(
                 findings.append(OracleFinding("audit-deep", now, str(v)))
 
         world.engine.set_event_hook(_deep_hook)
+    sources = SeedSequenceFactory(case.seed).rng("flood-sources")
     for t in _sample_times(case.spec.config):
+        source = int(sources.integers(case.spec.config.n_nodes))
         world.run_until(float(t))
+        flood(world, source)
         findings += check_instant(world, theorem5=case.theorem5)
         if twin is not None:
             twin.run_until(float(t))
+            flood(twin, source)
             if _decision_state(world) != _decision_state(twin):
                 findings.append(
                     OracleFinding(
-                        "cache-differential", float(t),
-                        "standing decisions differ between the cached and "
-                        "uncached runs of the same seed",
+                        "kernel-differential", float(t),
+                        "standing decisions differ between the whole-world "
+                        "and per-node redecide runs of the same seed",
                     )
                 )
         if findings and stop_at_first:

@@ -30,10 +30,10 @@ Determinism contract: the only randomness is the dedicated ``"gossip"``
 seed stream (round-start jitter drawn in node-id order at construction,
 then peer sampling consumed in engine event order, which is itself
 deterministic by ``(time, seq)``).  Peer candidates come from true
-geometry, never from decisions, so decision-cache twins consume the
-stream identically — cache on/off bit-identity is preserved.  Nothing
-here runs unless the world's mechanism is ``"gossip"``, so every other
-mechanism stays byte-identical.
+geometry, never from decisions, so twins that decide by different
+routes (whole-world kernel or per-node) consume the stream identically.
+Nothing here runs unless the world's mechanism is ``"gossip"``, so every
+other mechanism stays byte-identical.
 """
 
 from __future__ import annotations

@@ -55,9 +55,15 @@ def result_to_dict(result: RunResult) -> dict:
 
 
 def result_from_dict(spec: ExperimentSpec, seed: int, data: dict) -> RunResult:
-    """Rebuild the exact :class:`RunResult` a worker produced."""
+    """Rebuild the exact :class:`RunResult` a worker produced.
+
+    Stored counters that :class:`RunStats` no longer has are dropped:
+    stores written by 2.0.0 hold the removed decision-cache counters,
+    which counted skipped work and never fed an output.
+    """
     series = data["series"]
-    stats_dict = dict(data["stats"])
+    known = {f.name for f in fields(RunStats)}
+    stats_dict = {k: v for k, v in data["stats"].items() if k in known}
     telemetry = stats_dict.pop("telemetry", None)
     stats = RunStats(
         **stats_dict,

@@ -10,10 +10,9 @@ neighbor set (or always, in physical-neighbor mode).
 
 For mechanisms that recompute on packet events (view synchronization,
 proactive consistency) every node re-decides at flood time first — under
-the proactive scheme on the packet's Hello version.  Those redecisions go
-through the manager's view-fingerprint decision cache: when no Hello has
-arrived since the previous packet, all n recomputations are cache hits
-and the probe's cost collapses to the BFS itself (see
+the proactive scheme on the packet's Hello version.  Those n redecisions
+run as one whole-world array pass
+(:meth:`~repro.sim.world.NetworkWorld.redecide_all`; see
 ``docs/PERFORMANCE.md`` and ``benchmarks/bench_decide.py``).
 """
 

@@ -956,9 +956,9 @@ class NetworkWorld:
         forwarding node refreshes its logical set when it sends, and under
         the proactive scheme every node decides on the packet's *version*.
         Recomputing all nodes (not only eventual forwarders) is equivalent
-        for reachability and keeps the hot path vectorizable: every node
-        that misses the decision cache is decided in one whole-world array
-        pass (:meth:`~repro.core.manager.MobilitySensitiveTopologyControl
+        for reachability and keeps the hot path vectorizable: every live
+        node is decided in one whole-world array pass
+        (:meth:`~repro.core.manager.MobilitySensitiveTopologyControl
         .decide_many`).
         """
         tel = self._tel

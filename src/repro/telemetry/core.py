@@ -184,7 +184,7 @@ class Telemetry:
     >>> tel = Telemetry()
     >>> with tel.span("decide"):
     ...     tel.count("decisions")
-    ...     tel.event("decision_cache_miss", t=1.5, node=3)
+    ...     tel.event("range_change", t=1.5, node=3)
     >>> tel.registry.counter("decisions").value
     1.0
     >>> tel.spans["decide"].count

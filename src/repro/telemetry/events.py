@@ -1,8 +1,8 @@
 """Bounded structured event log: what happened, when, to whom.
 
 Counters say *how much*; events say *in what order*.  A
-:class:`TelemetryEvent` is one timestamped record (Hello sent, decision
-cache miss, fault window opening, range change, ...) with free-form scalar
+:class:`TelemetryEvent` is one timestamped record (Hello sent, Hello
+dropped, fault window opening, range change, ...) with free-form scalar
 fields.  The :class:`EventLog` keeps the most recent ``maxsize`` of them —
 simulation runs emit events at Hello rate, so an unbounded log would
 dominate memory on long runs; the drop counter makes truncation explicit
@@ -29,8 +29,6 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "hello_sent",  # a node broadcast a Hello (version, receiver count)
         "hello_received",  # a Hello was recorded by a receiver table
         "hello_dropped",  # deliveries lost (reason: loss | fault | collision | propagation)
-        "decision_cache_hit",  # manager served a decision from the cache
-        "decision_cache_miss",  # manager recomputed a decision
         "range_change",  # a decision changed the node's extended range
         "fault",  # an injector seam fired (action field says which)
         "flood",  # a delivery probe ran (source, delivery ratio)

@@ -74,12 +74,10 @@ class TestRunStats:
 
         clean = simulate(_spec(), seed=2).stats
         assert not clean.faults_armed
-        # An unfaulted unit-disk run's dict is the channel + cache counters.
+        # An unfaulted unit-disk run's dict is the channel counters.
         assert set(clean.as_dict()) == {
             "hello_messages", "data_transmissions", "sync_messages",
             "deliveries", "hello_losses", "collisions",
-            "decision_cache_hits", "decision_cache_misses",
-            "decision_cache_uncacheable",
         }
         faulted = simulate(
             _spec(), seed=2,

@@ -11,10 +11,14 @@ The two load-bearing guarantees:
 
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.analysis.experiment import ExperimentSpec
+from repro.core import consistency
 from repro.faults.fuzz import (
     BrokenViewSync,
     FuzzCase,
@@ -120,6 +124,23 @@ class TestBrokenMechanismDetection:
         assert run_case(replayed).failed
 
 
+class TestKernelDifferential:
+    def test_flags_a_kernel_that_diverges_from_per_node_selection(self):
+        case = static_case("view-sync", FaultSchedule())
+        assert not run_case(case, differential=True).failed
+        kernel = consistency.decide_views
+
+        def selects_nobody(batch, view_kernel, cost_model):
+            return [
+                replace(result, logical_neighbors=frozenset(), actual_range=0.0)
+                for result in kernel(batch, view_kernel, cost_model)
+            ]
+
+        with mock.patch.object(consistency, "decide_views", selects_nobody):
+            result = run_case(case, differential=True)
+        assert any("kernel-differential" in f for f in result.findings)
+
+
 class TestCaseSerialization:
     def test_json_round_trip(self):
         case = static_case("weak", LONG_OUTAGE)
@@ -163,14 +184,5 @@ class TestBrokenViewSyncUnit:
         ]
         assert decisions_a == decisions_b
 
-    def test_never_cached(self):
-        case = static_case("broken-view-sync", FaultSchedule(), seed=8)
-        world = build_fuzz_world(case)
-        world.run_until(6.0)
-        assert world.manager.cache_hits == 0
-        assert world.manager.cache_misses == 0
-        assert world.manager.cache_uncacheable > 0
-
     def test_registered_name(self):
         assert BrokenViewSync.name == "broken-view-sync"
-        assert BrokenViewSync().decision_fingerprint(None, 0.0, None) is None

@@ -124,7 +124,46 @@ class TestUnitIdentity:
         assert bare.unit_id == unit.unit_id
 
 
+#: ``result_to_dict(run_once(SPEC, seed=3))`` as a 2.0.0 store holds it,
+#: decision-cache counters included.
+STORED_2_0_0 = {
+    "series": {
+        "delivery_ratios": [
+            0.8888888888888888, 0.1111111111111111, 1.0, 0.5555555555555556
+        ],
+        "mean_actual_ranges": [
+            103.58057549479273, 104.93190409902584, 111.07176115062074,
+            98.32772183530946,
+        ],
+        "mean_extended_ranges": [
+            103.58057549479273, 104.93190409902584, 111.07176115062074,
+            98.32772183530946,
+        ],
+        "mean_logical_degrees": [1.9, 2.1, 2.1, 2.0],
+        "mean_physical_degrees": [2.4, 2.5, 2.7, 2.1],
+        "strict_connected": [False, False, False, False],
+    },
+    "stats": {
+        "collisions": 0, "data_transmissions": 27, "decision_cache_hits": 0,
+        "decision_cache_misses": 55, "decision_cache_uncacheable": 0,
+        "deliveries": 446, "fault_blocked_receptions": 0,
+        "fault_delayed_deliveries": 0, "fault_hello_drops": 0,
+        "fault_noisy_positions": 0, "fault_stale_discards": 0,
+        "fault_suppressed_sends": 0, "faults_armed": False,
+        "gossip_armed": False, "gossip_maydays": 0, "gossip_merged": 0,
+        "gossip_messages": 0, "gossip_rounds": 0, "hello_losses": 0,
+        "hello_messages": 55, "propagation": "unit-disk",
+        "propagation_losses": 0, "sync_messages": 0, "telemetry": None,
+    },
+}
+
+
 class TestResultRoundTrip:
+    def test_legacy_document_with_cache_counters_loads(self):
+        loaded = result_from_dict(SPEC, 3, STORED_2_0_0)
+        assert result_to_dict(loaded) == result_to_dict(run_once(SPEC, seed=3))
+        assert "decision_cache_hits" not in result_to_dict(loaded)["stats"]
+
     def test_exact(self):
         result = run_once(SPEC, seed=3)
         doc = result_to_dict(result)

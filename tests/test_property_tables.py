@@ -7,7 +7,7 @@ columnar :class:`~repro.core.neighbor_state.NeighborState`;
 streams of ``record_own`` / ``record_hello`` / ``record_batch`` / ``prune``
 into both — tables sharing one store, as in a simulated world, and a
 standalone table with its private store — and after every operation
-compares tokens, views, histories and counters.
+compares live neighbours, views, histories and counters.
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ def _outcome(fn):
 
 
 def _assert_same(table: NeighborTable, ref: _reference.NeighborTable, now: float) -> None:
-    assert table.mutations == ref.mutations
     assert table.hellos_received == ref.hellos_received
-    assert table.full_token()[1:] == ref.full_token()[1:]
-    assert table.live_view_token(now)[1:] == ref.live_view_token(now)[1:]
     assert table.known_neighbors() == ref.known_neighbors()
     assert table.known_neighbors(now) == ref.known_neighbors(now)
     for neighbor in range(N_NODES):
@@ -82,7 +79,7 @@ def _assert_same(table: NeighborTable, ref: _reference.NeighborTable, now: float
     assert table.available_versions() == ref.available_versions()
     own = table.last_advertised
     if own is not None:
-        # Dict order is part of the contract (view iteration, tokens).
+        # Dict order is part of the contract (view iteration).
         assert list(table.latest_view(now, own).neighbor_hellos.items()) == list(
             ref.latest_view(now, own).neighbor_hellos.items()
         )
