@@ -1,12 +1,17 @@
-"""Decision-pipeline benchmark: the whole-world kernel and the RNG batch kernel.
+"""Decision-pipeline benchmark: the whole-world kernels against the
+per-owner reference route.
 
 Measures the decision pipeline (see ``docs/PERFORMANCE.md``):
 
 - ``redecide_all`` at the paper's scale (100 nodes) under view
-  synchronization, the whole-world array pass vs one
-  ``mechanism.decide`` per owner on the same frozen world;
-- the batched :func:`~repro.core.framework.rng_removable_batch` kernel vs
-  one :func:`~repro.core.framework.rng_removable` scan per link;
+  synchronization, the whole-world array pass vs one per-owner decision
+  through the reference predicates
+  (:class:`~repro.core._reference.ReferenceProtocol`) on the same frozen
+  world;
+- the Hello-time settle: the views a world gathers over one 0.1 s sample
+  interval (n=100 view-sync/rng, n=1000 baseline/mst), decided in one
+  kernel pass vs one reference decision per view;
+- the gossip mechanism's warmup against view synchronization;
 - the sparse-first snapshot -> decide -> flood pipeline at
   n in {2000, 5000, 10000} (paper density, proactive mechanism), where
   snapshots are CSR-backed and no ``(n, n)`` matrix is ever built.
@@ -35,7 +40,8 @@ import pytest
 
 from repro.analysis.experiment import ExperimentSpec, build_world
 from repro.analysis.scales import Scale
-from repro.core.framework import LocalCostGraph, rng_removable, rng_removable_batch
+from repro.core._reference import ReferenceProtocol
+from repro.core.views import Hello, LocalView
 
 pytestmark = pytest.mark.decide_bench
 
@@ -78,12 +84,13 @@ def _decisions(world) -> list:
 
 
 def _per_node_decisions(world) -> list:
-    """The oracle: ``mechanism.decide`` once per owner, at the world's now."""
+    """The oracle: one reference decision per owner, at the world's now."""
     manager, now = world.manager, world.engine.now
+    reference = ReferenceProtocol(manager.protocol)
     out = []
     for node in world.nodes:
         result = manager.mechanism.decide(
-            manager.protocol, node.table, now, world._current_hello(node, now)
+            reference, node.table, now, world._current_hello(node, now)
         )
         out.append((
             node.node_id,
@@ -97,7 +104,7 @@ def _per_node_decisions(world) -> list:
 
 
 def bench_redecide(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
-    """Time ``redecide_all`` against the per-node decide loop, view-sync."""
+    """Time ``redecide_all`` against the per-owner reference loop, view-sync."""
     scale = Scale(
         name="bench",
         n_nodes=n,
@@ -135,42 +142,78 @@ def bench_redecide(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
     }
 
 
-def _random_cost_graph(m: int, seed: int) -> LocalCostGraph:
-    rng = np.random.default_rng(seed)
-    pts = rng.random((m, 2)) * 250.0
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    adj = dist <= 250.0
-    np.fill_diagonal(adj, False)
-    graph = LocalCostGraph(list(range(m)), adj, dist, dist, dist, dist)
-    graph.rank_low  # pre-rank: both predicates share the cached rank matrices
-    return graph
+def _local_view(batch, t: float) -> LocalView:
+    """The LocalView of a one-view :class:`~repro.core.framework.ViewBatch`."""
+    hellos = [
+        Hello(int(i), 0, (float(x), float(y)), t, t)
+        for i, x, y in zip(batch.ids, batch.x, batch.y)
+    ]
+    return LocalView(
+        owner=hellos[0].sender,
+        own_hello=hellos[0],
+        neighbor_hellos={h.sender: h for h in hellos[1:]},
+        normal_range=float(batch.normal_range[0]),
+        sampled_at=t,
+    )
 
 
-def bench_rng_kernel(m: int, seed: int = 11) -> dict:
-    """Time the batched RNG condition vs one per-edge scan per link."""
-    graph = _random_cost_graph(m, seed)
+#: (n, mechanism, protocol) of the Hello-time settle rows
+SETTLE_CASES = ((100, "view-sync", "rng"), (1000, "baseline", "mst"))
 
-    def per_edge() -> dict[int, bool]:
-        return {
-            int(j): rng_removable(graph, 0, int(j))
-            for j in np.flatnonzero(graph.adj[0])
-        }
 
-    want, got = per_edge(), rng_removable_batch(graph)
-    if want != got:
-        raise AssertionError(f"rng batch kernel diverges from per-edge at m={m}")
-    edge_ns = _median_ns(per_edge, budget_s=1.0)
-    batch_ns = _median_ns(lambda: rng_removable_batch(graph), budget_s=1.0)
+def bench_hello_settle(
+    n: int, mechanism: str, protocol: str, seed: int = 7, warm_t: float = 3.0,
+    interval: float = 0.1,
+) -> dict:
+    """Time one settle of the views gathered over one sample *interval*
+    against one reference decision per view."""
+    scale = Scale(
+        name="bench-settle",
+        n_nodes=n,
+        area_side=_side(n),
+        duration=warm_t + 2.0,
+        sample_rate=1.0,
+        repetitions=1,
+    )
+    spec = ExperimentSpec(
+        protocol=protocol, mechanism=mechanism, mean_speed=20.0, config=scale.config()
+    )
+    world = build_world(spec, seed)
+    world.run_until(warm_t)
+    # advance the engine alone: the Hellos of the interval stay queued
+    world.engine.run(until=warm_t + interval)
+    entries = list(world._pending)
+    views = [view for _, _, view in entries]
+    times = [t for _, t, _ in entries]
+    manager = world.manager
+    reference = ReferenceProtocol(manager.protocol)
+    local_views = [_local_view(view, t) for view, t in zip(views, times)]
+
+    def per_owner() -> list:
+        return [
+            manager._decision(t, reference.select(view))
+            for view, t in zip(local_views, times)
+        ]
+
+    if manager.decide_gathered(views, times) != per_owner():
+        raise AssertionError(f"Hello-time settle diverges from per-owner at n={n}")
+    settle_ns = _median_ns(lambda: manager.decide_gathered(views, times), budget_s=1.0)
+    per_owner_ns = _median_ns(per_owner, budget_s=1.0)
+    count = len(views)
     print(
-        f"rng_kernel  m={m:<4} per-edge={edge_ns / 1e3:8.1f} us   "
-        f"batch={batch_ns / 1e3:8.1f} us   {edge_ns / batch_ns:6.1f}x"
+        f"hello_settle n={n:<5} {mechanism}/{protocol} views={count:<4} "
+        f"per-owner={per_owner_ns / count / 1e3:7.1f} us/view   "
+        f"settle={settle_ns / count / 1e3:7.1f} us/view   "
+        f"{per_owner_ns / settle_ns:6.1f}x"
     )
     return {
-        "m": m,
-        "per_edge_ns": round(edge_ns),
-        "batch_ns": round(batch_ns),
-        "speedup": round(edge_ns / batch_ns, 2),
+        "n": n,
+        "mechanism": mechanism,
+        "protocol": protocol,
+        "views": count,
+        "per_owner_ns": round(per_owner_ns),
+        "settle_ns": round(settle_ns),
+        "speedup": round(per_owner_ns / settle_ns, 2),
     }
 
 
@@ -285,7 +328,7 @@ def bench_scale_pipeline(n: int, seed: int = 7, warm_t: float = 3.0) -> dict:
 
 def run_benchmark(smoke: bool = False) -> dict:
     redecide_sizes = (25,) if smoke else (50, 100)
-    kernel_sizes = (16,) if smoke else (25, 50, 100)
+    settle_cases = ((25, "view-sync", "rng"),) if smoke else SETTLE_CASES
     scale_sizes = () if smoke else SCALE_SIZES
     # Gossip rows run at the paper scale and 10x even in smoke mode: the
     # overhead-vs-view-sync factor is the tracked number, and it only
@@ -293,7 +336,10 @@ def run_benchmark(smoke: bool = False) -> dict:
     gossip_sizes = GOSSIP_SIZES
     results = {
         "redecide_all": {str(n): bench_redecide(n) for n in redecide_sizes},
-        "rng_kernel": {str(m): bench_rng_kernel(m) for m in kernel_sizes},
+        "hello_settle": {
+            f"{n}-{mechanism}-{protocol}": bench_hello_settle(n, mechanism, protocol)
+            for n, mechanism, protocol in settle_cases
+        },
         "gossip": {str(n): bench_gossip(n) for n in gossip_sizes},
         "scale_pipeline": {str(n): bench_scale_pipeline(n) for n in scale_sizes},
     }
@@ -304,7 +350,7 @@ def run_benchmark(smoke: bool = False) -> dict:
             "protocol": "rng",
             "smoke": smoke,
             "redecide_sizes": list(redecide_sizes),
-            "kernel_sizes": list(kernel_sizes),
+            "settle_cases": [list(case) for case in settle_cases],
             "gossip_sizes": list(gossip_sizes),
             "scale_sizes": list(scale_sizes),
         },
@@ -316,8 +362,8 @@ def test_decide_bench():
     payload = run_benchmark()
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUT}")
-    # The whole-world kernel must beat one per-node decision per owner by
-    # >= 3x at the paper's scale.
+    # The whole-world kernel must beat one per-owner reference decision
+    # per owner by >= 3x at the paper's scale.
     assert payload["results"]["redecide_all"]["100"]["speedup"] >= 3.0
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.experiment import ExperimentSpec, build_world
+from repro.core._reference import RankedCostGraph, mst_removable
 from repro.core.costs import DistanceCost
-from repro.core.framework import LocalCostGraph, apply_removal_condition, mst_removable
+from repro.core.framework import LocalCostGraph, apply_removal_condition
 from repro.core.views import Hello, LocalView
 from repro.mobility.base import Area
 from repro.protocols import MstProtocol, RngProtocol, Spt2Protocol
@@ -73,7 +74,8 @@ def test_cost_graph_construction_speed(benchmark):
 
 
 def test_removal_condition_speed(benchmark):
-    graph = LocalCostGraph.from_local_view(_view(), DistanceCost())
+    # the per-edge reference predicate, the oracle of the MST kernel
+    graph = RankedCostGraph.from_local_view(_view(), DistanceCost())
     result = benchmark(apply_removal_condition, graph, mst_removable)
     assert result.owner == 0
 

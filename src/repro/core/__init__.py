@@ -21,12 +21,6 @@ from repro.core.framework import (
     LocalCostGraph,
     SelectionResult,
     apply_removal_condition,
-    mst_removable,
-    mst_removable_batch,
-    rng_removable,
-    rng_removable_batch,
-    spt_removable,
-    spt_removable_batch,
 )
 from repro.core.manager import MobilitySensitiveTopologyControl, NodeDecision
 from repro.core.tables import NeighborTable
@@ -55,12 +49,6 @@ __all__ = [
     "LocalCostGraph",
     "SelectionResult",
     "apply_removal_condition",
-    "rng_removable",
-    "rng_removable_batch",
-    "spt_removable",
-    "spt_removable_batch",
-    "mst_removable",
-    "mst_removable_batch",
     "NeighborTable",
     "ConsistencyMechanism",
     "BaselineConsistency",

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.framework import SelectionResult, ViewBatch, decide_views
+from repro.core.framework import IntervalBatch, SelectionResult, ViewBatch, decide_views
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
 from repro.protocols.base import TopologyControlProtocol
@@ -94,14 +94,40 @@ class ConsistencyMechanism(ABC):
         """
 
     #: ``gather_views(tables, now, current_hellos, version=None)`` returns
-    #: ``(batch, kept)``: the single-version decision views of many owners
-    #: as one :class:`~repro.core.framework.ViewBatch`, read straight from
-    #: the columnar store all *tables* share, and the positions in *tables*
-    #: (in order) whose owner has a view — the others cannot decide, their
-    #: :meth:`decide` raising :class:`ViewError`.  None for mechanisms
-    #: without a batched gather: :meth:`decide_many` runs their
-    #: :meth:`decide` owner by owner.
+    #: ``(batch, kept)``: the decision views of many owners as one
+    #: :class:`~repro.core.framework.ViewBatch` (or, for k-version views,
+    #: :class:`~repro.core.framework.IntervalBatch`), and the positions in
+    #: *tables* (in order) whose owner has a view — the others cannot
+    #: decide, their :meth:`decide` raising :class:`ViewError`.
+    #: Single-version gathers read the columnar store all *tables* share.
+    #: None for mechanisms without a batched gather: they decide owner by
+    #: owner through :meth:`decide`.
     gather_views = None
+
+    def gather_view(
+        self,
+        table: NeighborTable,
+        now: float,
+        current_hello: Hello,
+        version: int | None = None,
+    ):
+        """The one-view batch :meth:`decide` would decide from, gathered now.
+
+        Raises :class:`ViewError` where :meth:`decide` would.  Deciding it
+        later with :meth:`decide_gathered` gives :meth:`decide`'s result.
+        """
+        batch, kept = self.gather_views([table], now, [current_hello], version=version)
+        if not kept:
+            raise ViewError(f"node {table.owner} has no view to decide from at t={now:g}")
+        return batch
+
+    def decide_gathered(
+        self, protocol: TopologyControlProtocol, batches: Sequence
+    ) -> list[SelectionResult]:
+        """Decide gathered views (:meth:`gather_view` batches) in one array
+        pass through *protocol*'s kernel, one result per view, in order."""
+        batch = type(batches[0]).concat(batches)
+        return decide_views(batch, protocol.view_kernel, protocol.cost_model)
 
     def decide_many(
         self,
@@ -123,10 +149,9 @@ class ConsistencyMechanism(ABC):
         every owner runs :meth:`decide` (span ``redecide_kernel``).
         *spans* is the armed telemetry collector, or the disarmed default.
         """
-        kernel = protocol.view_kernel
         gathered = None
         if (
-            kernel is not None
+            protocol.view_kernel is not None
             and self.gather_views is not None
             and tables
             and all(table.state is tables[0].state for table in tables)
@@ -141,7 +166,7 @@ class ConsistencyMechanism(ABC):
                 ]
             batch, kept = gathered
             results: list[SelectionResult | None] = [None] * len(tables)
-            for i, result in zip(kept, decide_views(batch, kernel, protocol.cost_model)):
+            for i, result in zip(kept, self.decide_gathered(protocol, [batch])):
                 results[i] = result
             return results
 
@@ -160,12 +185,31 @@ class BaselineConsistency(ConsistencyMechanism):
 
     name = "baseline"
 
+    @staticmethod
+    def _own_hello(table: NeighborTable, current_hello: Hello) -> Hello:
+        """The owner's position record a decision uses: the current one."""
+        return current_hello
+
     def decide(self, protocol, table, now, current_hello, version=None):
-        view = table.latest_view(now, own_hello=current_hello)
+        view = table.latest_view(now, own_hello=self._own_hello(table, current_hello))
         return protocol.select(view)
 
+    def gather_views(self, tables, now, current_hellos, version=None):
+        """Latest live views of many owners (:attr:`ConsistencyMechanism.gather_views`)."""
+        owns = [
+            self._own_hello(table, current)
+            for table, current in zip(tables, current_hellos)
+        ]
+        index, senders, hellos = tables[0].state.latest_live_many(
+            [table.row for table in tables],
+            now,
+            np.array([table.expiry for table in tables]),
+        )
+        ranges = np.array([table.normal_range for table in tables])
+        return ViewBatch.assemble(owns, index, senders, hellos, ranges), range(len(tables))
 
-class ViewSynchronization(ConsistencyMechanism):
+
+class ViewSynchronization(BaselineConsistency):
     """On-the-fly almost-consistent views (Section 5.1, "view synchronization").
 
     Decisions use the latest received Hellos but the node's **previously
@@ -179,28 +223,12 @@ class ViewSynchronization(ConsistencyMechanism):
     name = "view-sync"
     recompute_on_packet = True
 
-    def decide(self, protocol, table, now, current_hello, version=None):
-        own = table.last_advertised
-        if own is None:
-            # Nothing advertised yet: the node is invisible to neighbors
-            # anyway, so deciding from the current position is harmless.
-            own = current_hello
-        view = table.latest_view(now, own_hello=own)
-        return protocol.select(view)
-
-    def gather_views(self, tables, now, current_hellos, version=None):
-        """Latest live views of many owners (:attr:`ConsistencyMechanism.gather_views`)."""
-        owns = [
-            table.last_advertised or current
-            for table, current in zip(tables, current_hellos)
-        ]
-        index, senders, hellos = tables[0].state.latest_live_many(
-            [table.row for table in tables],
-            now,
-            np.array([table.expiry for table in tables]),
-        )
-        ranges = np.array([table.normal_range for table in tables])
-        return ViewBatch.assemble(owns, index, senders, hellos, ranges), range(len(tables))
+    @staticmethod
+    def _own_hello(table: NeighborTable, current_hello: Hello) -> Hello:
+        """The owner's last advertised Hello.  Before its first one the
+        node is invisible to neighbors anyway, so deciding from the current
+        position is harmless."""
+        return table.last_advertised or current_hello
 
 
 class ProactiveConsistency(ConsistencyMechanism):
@@ -302,11 +330,20 @@ class WeakConsistency(ConsistencyMechanism):
         view = table.multi_view(now, own_hello=current_hello)
         return protocol.select_conservative(view)
 
+    def gather_views(self, tables, now, current_hellos, version=None):
+        """Distance bounds of many owners' k-version views
+        (:attr:`ConsistencyMechanism.gather_views`)."""
+        views = [
+            table.multi_view(now, own_hello=current)
+            for table, current in zip(tables, current_hellos)
+        ]
+        return IntervalBatch.of_views(views), range(len(tables))
+
     def __repr__(self) -> str:
         return f"WeakConsistency(history_depth={self.history_depth})"
 
 
-class GossipConsistency(ConsistencyMechanism):
+class GossipConsistency(ViewSynchronization):
     """Anti-entropy epidemic views (ROADMAP item 4; see docs/GOSSIP.md).
 
     Hello state spreads by periodic push–pull digest exchange with
@@ -337,6 +374,7 @@ class GossipConsistency(ConsistencyMechanism):
     """
 
     name = "gossip"
+    recompute_on_packet = False
 
     def __init__(
         self,
@@ -355,13 +393,6 @@ class GossipConsistency(ConsistencyMechanism):
             if mayday_after is None
             else check_positive("mayday_after", mayday_after)
         )
-
-    def decide(self, protocol, table, now, current_hello, version=None):
-        own = table.last_advertised
-        if own is None:
-            own = current_hello
-        view = table.latest_view(now, own_hello=own)
-        return protocol.select(view)
 
     def staleness_bound(self, n_nodes: int) -> float:
         """Worst-case extra view lag in seconds at population *n_nodes*.

@@ -17,35 +17,35 @@ is what makes Theorem 1 go through.  The *enhanced* conditions of Section
 ``cMin`` for the link under the knife, ``cMax`` for every witness link.
 On a single-version view the two bounds coincide and the enhanced
 conditions reduce to the plain ones — so one implementation serves both.
+
+The three conditions run as array kernels over many owners' views at once
+(:func:`decide_views`); a one-view batch is how a protocol decides a
+single view.  The per-owner predicates they replaced live on as test
+oracles in :mod:`repro.core._reference`.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.costs import CostModel, cost_key
+from repro.core.costs import CostModel
 from repro.core.views import Hello, LocalView, MultiVersionView
 from repro.util.errors import ProtocolError
 
 __all__ = [
     "LocalCostGraph",
     "SelectionResult",
-    "rng_removable",
-    "rng_removable_batch",
-    "spt_removable",
-    "spt_removable_batch",
-    "mst_removable",
-    "mst_removable_batch",
     "apply_removal_condition",
     "KERNEL_CHUNK_ELEMENTS",
     "ViewBatch",
-    "VIEW_KERNELS",
+    "IntervalBatch",
+    "rng_survivors",
+    "spt_survivors",
+    "mst_survivors",
     "decide_views",
 ]
 
@@ -77,17 +77,11 @@ class SelectionResult:
             raise ProtocolError(f"invalid actual range {self.actual_range!r}")
 
 
-@functools.lru_cache(maxsize=256)
-def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.triu_indices(m, k=1)``, built once per view size."""
-    iu, iv = np.triu_indices(m, k=1)
-    iu.flags.writeable = False
-    iv.flags.writeable = False
-    return iu, iv
-
-
 class LocalCostGraph:
     """Dense cost graph over the members of a local view.
+
+    The per-edge removal predicates of the protocols without an array
+    kernel (Gabriel, enclosure) read it.
 
     Attributes
     ----------
@@ -101,17 +95,7 @@ class LocalCostGraph:
         Matching distance bounds (used for range assignment).
     """
 
-    __slots__ = (
-        "ids",
-        "index",
-        "adj",
-        "cost_low",
-        "cost_high",
-        "dist_low",
-        "dist_high",
-        "_rank_low",
-        "_rank_high",
-    )
+    __slots__ = ("ids", "index", "adj", "cost_low", "cost_high", "dist_low", "dist_high")
 
     def __init__(
         self,
@@ -129,73 +113,11 @@ class LocalCostGraph:
         self.cost_high = cost_high
         self.dist_low = dist_low
         self.dist_high = dist_high
-        self._rank_low: np.ndarray | None = None
-        self._rank_high: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         """Number of members (owner + neighbors)."""
         return len(self.ids)
-
-    def key_low(self, i: int, j: int) -> tuple[float, int, int]:
-        """Total-order key of the *lower* cost bound of link (i, j)."""
-        return cost_key(self.cost_low[i, j], self.ids[i], self.ids[j])
-
-    def key_high(self, i: int, j: int) -> tuple[float, int, int]:
-        """Total-order key of the *upper* cost bound of link (i, j)."""
-        return cost_key(self.cost_high[i, j], self.ids[i], self.ids[j])
-
-    def _compute_ranks(self) -> None:
-        """Dense integer ranks realising the total order of cost keys.
-
-        Both bound matrices are ranked *jointly*, so
-        ``rank_high[a,b] < rank_low[c,d]`` iff
-        ``key_high(a,b) < key_low(c,d)`` — tuple semantics at NumPy
-        comparison cost (the removal predicates run millions of key
-        comparisons per simulation; see the optimization guide: vectorize
-        the measured hot spot, nothing else).
-        """
-        m = len(self.ids)
-        iu, iv = _upper_pairs(m)
-        ids_arr = np.asarray(self.ids)
-        lo_ids = np.minimum(ids_arr[iu], ids_arr[iv])
-        hi_ids = np.maximum(ids_arr[iu], ids_arr[iv])
-        costs = np.concatenate([self.cost_low[iu, iv], self.cost_high[iu, iv]])
-        lo2 = np.concatenate([lo_ids, lo_ids])
-        hi2 = np.concatenate([hi_ids, hi_ids])
-        # Dense ranks via lexsort (primary key last): ~10x faster than
-        # np.unique on a structured dtype for these sizes.
-        order = np.lexsort((hi2, lo2, costs))
-        s_cost, s_lo, s_hi = costs[order], lo2[order], hi2[order]
-        new_group = np.empty(order.shape[0], dtype=np.int64)
-        new_group[0] = 0
-        new_group[1:] = (
-            (s_cost[1:] != s_cost[:-1])
-            | (s_lo[1:] != s_lo[:-1])
-            | (s_hi[1:] != s_hi[:-1])
-        )
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(new_group)
-        k = iu.shape[0]
-        rank_low = np.zeros((m, m), dtype=np.int64)
-        rank_high = np.zeros((m, m), dtype=np.int64)
-        rank_low[iu, iv] = rank_low[iv, iu] = inverse[:k]
-        rank_high[iu, iv] = rank_high[iv, iu] = inverse[k:]
-        self._rank_low, self._rank_high = rank_low, rank_high
-
-    @property
-    def rank_low(self) -> np.ndarray:
-        """Integer total-order ranks of the lower cost bounds."""
-        if self._rank_low is None:
-            self._compute_ranks()
-        return self._rank_low
-
-    @property
-    def rank_high(self) -> np.ndarray:
-        """Integer total-order ranks of the upper cost bounds."""
-        if self._rank_high is None:
-            self._compute_ranks()
-        return self._rank_high
 
     @classmethod
     def from_local_view(cls, view: LocalView, cost_model: CostModel) -> "LocalCostGraph":
@@ -231,208 +153,15 @@ class LocalCostGraph:
         return cls(ids, adj, cost_low, cost_high, dist_low, dist_high)
 
 
-def rng_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
-    """Condition 1 (RNG): a 2-hop witness path strictly cheaper on both links.
-
-    Enhanced form: witness links are judged by their *upper* cost bound,
-    the removed link by its *lower* bound, so removal is only allowed when
-    it would be correct under every consistent completion of the view.
-    """
-    target = graph.rank_low[owner, v]
-    rank_high = graph.rank_high
-    adj = graph.adj
-    witnesses = (
-        adj[owner]
-        & adj[v]
-        & (rank_high[owner] < target)
-        & (rank_high[:, v] < target)
-    )
-    witnesses[owner] = witnesses[v] = False
-    return bool(witnesses.any())
-
-
-def rng_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
-    """Condition 1 for *all* of the owner's links in one broadcast pass.
-
-    One ``(k, m)`` witness mask replaces k per-edge scans: for every
-    neighbor v of the owner, witness w qualifies iff it is adjacent to
-    both ends and both witness links rank (by upper bound) strictly below
-    the direct link's lower bound — exactly :func:`rng_removable`, so the
-    conservative low/high asymmetry carries over and interval graphs need
-    no fallback.
-    """
-    adj = graph.adj
-    neighbors = np.flatnonzero(adj[0])
-    if neighbors.size == 0:
-        return {}
-    rank_high = graph.rank_high
-    targets = graph.rank_low[0, neighbors][:, np.newaxis]
-    witnesses = (
-        adj[0][np.newaxis, :]
-        & adj[neighbors, :]
-        & (rank_high[0][np.newaxis, :] < targets)
-        & (rank_high[:, neighbors].T < targets)
-    )
-    witnesses[:, 0] = False
-    witnesses[np.arange(neighbors.size), neighbors] = False
-    removable = witnesses.any(axis=1)
-    return {int(v): bool(r) for v, r in zip(neighbors, removable)}
-
-
-#: marker consumed by apply_removal_condition
-rng_removable_batch.is_batch = True  # type: ignore[attr-defined]
-
-
-def spt_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
-    """Condition 2 (SPT): some path with summed cost below c(owner, v).
-
-    Dijkstra over upper-bound costs; removal requires the alternative to be
-    *strictly* cheaper than the lower bound of the direct link (ties keep
-    the link — connectivity-safe).
-    """
-    m = graph.size
-    threshold = graph.cost_low[owner, v]
-    dist = np.full(m, math.inf)
-    dist[owner] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, owner)]
-    visited = np.zeros(m, dtype=bool)
-    while heap:
-        d, i = heapq.heappop(heap)
-        if visited[i]:
-            continue
-        visited[i] = True
-        if i == v:
-            break
-        if d >= threshold:
-            # Every remaining path is at least this long; cannot beat c(o, v).
-            return False
-        for j in np.flatnonzero(graph.adj[i]):
-            if i == owner and j == v:
-                continue  # the direct link is not its own witness
-            nd = d + graph.cost_high[i, j]
-            if nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, int(j)))
-    return bool(dist[v] < threshold)
-
-
-def mst_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
-    """Condition 3 (MST): some path whose every link is cheaper than (owner, v).
-
-    Equivalent to reachability of *v* from *owner* in the subgraph of links
-    with key strictly below the direct link's key (direct link excluded);
-    computed as a vectorized frontier BFS over that boolean subgraph.
-    """
-    target = graph.rank_low[owner, v]
-    sub = graph.adj & (graph.rank_high < target)
-    sub[owner, v] = sub[v, owner] = False
-    m = graph.size
-    reached = np.zeros(m, dtype=bool)
-    reached[owner] = True
-    frontier = reached.copy()
-    while frontier.any():
-        nxt = sub[frontier].any(axis=0) & ~reached
-        if nxt[v]:
-            return True
-        reached |= nxt
-        frontier = nxt
-    return False
-
-
-def mst_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
-    """Condition 3 for *all* of the owner's links in one MST construction.
-
-    With a total order on links, (owner, v) survives condition 3 iff it is
-    an edge of the local graph's minimum spanning tree (the cycle
-    property), so one Prim pass over the rank matrix replaces one BFS per
-    neighbor.  Only valid when the cost bounds coincide (single-version
-    views); interval graphs fall back to the per-edge predicate, whose
-    conservative low/high asymmetry has no single-MST equivalent.
-    """
-    if graph.cost_low is not graph.cost_high and not np.array_equal(
-        graph.cost_low, graph.cost_high
-    ):
-        return {
-            int(j): mst_removable(graph, 0, int(j))
-            for j in np.flatnonzero(graph.adj[0])
-        }
-    m = graph.size
-    neighbors = np.flatnonzero(graph.adj[0])
-    if m <= 2 or neighbors.size == 0:
-        return {int(j): False for j in neighbors}
-    inf = np.iinfo(np.int64).max
-    weights = np.where(graph.adj, graph.rank_low, inf)
-    np.fill_diagonal(weights, inf)
-    in_tree = np.zeros(m, dtype=bool)
-    in_tree[0] = True
-    best = weights[0].copy()
-    parent = np.zeros(m, dtype=np.intp)
-    owner_children: set[int] = set()
-    for _ in range(m - 1):
-        masked = np.where(in_tree, inf, best)
-        j = int(np.argmin(masked))
-        if masked[j] >= inf:
-            break  # remaining nodes unreachable (they are not neighbors of 0)
-        in_tree[j] = True
-        if parent[j] == 0:
-            owner_children.add(j)
-        improves = (weights[j] < best) & ~in_tree
-        parent[improves] = j
-        best = np.where(improves, weights[j], best)
-    return {int(j): (int(j) not in owner_children) for j in neighbors}
-
-
-#: marker consumed by apply_removal_condition
-mst_removable_batch.is_batch = True  # type: ignore[attr-defined]
-
-
-def spt_removable_batch(graph: LocalCostGraph) -> dict[int, bool]:
-    """Condition 2 for *all* of the owner's links via one Dijkstra.
-
-    ``dist[v] < cost_low(owner, v)`` iff an alternative path is strictly
-    cheaper: the direct link contributes exactly ``cost_high >= cost_low``
-    to the shortest-path tree, and no simple path through the direct link
-    can beat it, so including it changes nothing — one O(m^2) Dijkstra
-    replaces one per neighbor.  Semantics identical to
-    :func:`spt_removable` (verified by tests on random graphs).
-    """
-    m = graph.size
-    weights = np.where(graph.adj, graph.cost_high, math.inf)
-    np.fill_diagonal(weights, math.inf)
-    dist = np.full(m, math.inf)
-    dist[0] = 0.0
-    visited = np.zeros(m, dtype=bool)
-    for _ in range(m):
-        candidates = np.where(visited, math.inf, dist)
-        i = int(np.argmin(candidates))
-        if not math.isfinite(candidates[i]):
-            break
-        visited[i] = True
-        dist = np.minimum(dist, dist[i] + weights[i])
-    return {
-        int(j): bool(dist[j] < graph.cost_low[0, j])
-        for j in np.flatnonzero(graph.adj[0])
-    }
-
-
-#: marker consumed by apply_removal_condition
-spt_removable_batch.is_batch = True  # type: ignore[attr-defined]
-
-
-def apply_removal_condition(
-    graph: LocalCostGraph,
-    removable,
-) -> SelectionResult:
-    """Run a removal predicate over the owner's adjacent links.
+def apply_removal_condition(graph: LocalCostGraph, removable) -> SelectionResult:
+    """Run a per-edge removal predicate over the owner's adjacent links.
 
     Parameters
     ----------
     graph:
         Local cost graph; index 0 is the owner.
     removable:
-        ``f(graph, owner_index, neighbor_index) -> bool``, or a batch
-        predicate (``is_batch`` attribute set) mapping the whole graph to
-        ``{neighbor_index: removable}`` in one pass.
+        ``f(graph, owner_index, neighbor_index) -> bool``.
 
     Returns
     -------
@@ -440,29 +169,21 @@ def apply_removal_condition(
         Logical neighbors = adjacent nodes whose direct link survives;
         actual range = largest (upper-bound) distance to a survivor.
     """
-    owner_idx = 0
     survivors: list[int] = []
     max_dist = 0.0
-    if getattr(removable, "is_batch", False):
-        verdicts = removable(graph)
-        for j, is_removable in verdicts.items():
-            if not is_removable:
-                survivors.append(graph.ids[j])
-                max_dist = max(max_dist, float(graph.dist_high[owner_idx, j]))
-    else:
-        for j in np.flatnonzero(graph.adj[owner_idx]):
-            if not removable(graph, owner_idx, int(j)):
-                survivors.append(graph.ids[j])
-                max_dist = max(max_dist, float(graph.dist_high[owner_idx, j]))
+    for j in np.flatnonzero(graph.adj[0]):
+        if not removable(graph, 0, int(j)):
+            survivors.append(graph.ids[j])
+            max_dist = max(max_dist, float(graph.dist_high[0, j]))
     return SelectionResult(
-        owner=graph.ids[owner_idx],
+        owner=graph.ids[0],
         logical_neighbors=frozenset(survivors),
         actual_range=max_dist,
     )
 
 
 # --------------------------------------------------------------------- #
-# whole-world kernels: many owners' single-version views in one pass
+# whole-world kernels: many owners' views in one pass
 
 #: Element budget of one kernel chunk.  Owners are decided in chunks whose
 #: ``owners x M x M`` padded size stays below this (a single owner larger
@@ -477,9 +198,7 @@ class ViewBatch:
 
     View *i* occupies ``ids[s:s + counts[i]]`` (``s`` the sum of the
     earlier counts): its owner first, then its neighbors by ascending id —
-    the member order of :attr:`~repro.core.views.LocalView.members`, so
-    member *j* of a view is index *j* of its per-node
-    :class:`LocalCostGraph`.
+    the member order of :attr:`~repro.core.views.LocalView.members`.
 
     Attributes
     ----------
@@ -527,6 +246,110 @@ class ViewBatch:
         xy[slots] = _positions(hellos.tolist())
         return cls(counts, ids, xy[:, 0], xy[:, 1], normal_range)
 
+    @classmethod
+    def of_view(cls, view: LocalView) -> "ViewBatch":
+        """The one-view batch of *view*."""
+        ids, pts = view.positions()
+        return cls(
+            np.array([len(ids)]),
+            np.array(ids, dtype=np.int64),
+            pts[:, 0],
+            pts[:, 1],
+            np.array([view.normal_range]),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["ViewBatch"]) -> "ViewBatch":
+        """One batch holding the views of *batches*, in order."""
+        return cls(*(np.concatenate(column) for column in zip(*(
+            (b.counts, b.ids, b.x, b.y, b.normal_range) for b in batches
+        ))))
+
+    def pad(self, start: int, stop: int, first: np.ndarray):
+        """``(ids, member, dist_low, dist_high)`` of views ``start:stop``,
+        padded to ``(b, M)`` / ``(b, M, M)``; the bounds are one array."""
+        c = self.counts[start:stop]
+        b, m = stop - start, int(c.max())
+        flat = slice(int(first[start]), int(first[start] + c.sum()))
+        row = np.repeat(np.arange(b), c)
+        col = np.arange(row.size) - (first[start:stop] - first[start])[row]
+        ids = np.full((b, m), self.ids[flat.start], dtype=np.int64)
+        x = np.zeros((b, m))
+        y = np.zeros((b, m))
+        member = np.zeros((b, m), dtype=bool)
+        ids[row, col] = self.ids[flat]
+        x[row, col] = self.x[flat]
+        y[row, col] = self.y[flat]
+        member[row, col] = True
+        # dist = sqrt(dx*dx + dy*dy) from separate x / y planes, in place:
+        # the same roundings as the per-view einsum over a (m, m, 2)
+        # difference tensor (pinned by tests/test_property_decide_batch.py),
+        # with two (b, M, M) temporaries.
+        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+        dist *= dist
+        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        return ids, member, dist, dist
+
+
+@dataclass(frozen=True, slots=True)
+class IntervalBatch:
+    """Many owners' k-version views as per-view distance-bound matrices.
+
+    View *i* has members ``ids[s:s + counts[i]]`` (owner first) and the
+    ``(counts[i], counts[i])`` bounds ``low[i]`` / ``high[i]`` of
+    :meth:`~repro.core.views.MultiVersionView.distance_bounds`.
+    """
+
+    counts: np.ndarray
+    ids: np.ndarray
+    low: tuple[np.ndarray, ...]
+    high: tuple[np.ndarray, ...]
+    normal_range: np.ndarray
+
+    @classmethod
+    def of_views(cls, views: Sequence[MultiVersionView]) -> "IntervalBatch":
+        """The batch of *views*' distance bounds."""
+        bounds = [view.distance_bounds() for view in views]
+        return cls(
+            np.array([len(ids) for ids, _, _ in bounds], dtype=np.int64),
+            np.array([i for ids, _, _ in bounds for i in ids], dtype=np.int64),
+            tuple(low for _, low, _ in bounds),
+            tuple(high for _, _, high in bounds),
+            np.array([view.normal_range for view in views], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["IntervalBatch"]) -> "IntervalBatch":
+        """One batch holding the views of *batches*, in order."""
+        return cls(
+            np.concatenate([b.counts for b in batches]),
+            np.concatenate([b.ids for b in batches]),
+            tuple(m for b in batches for m in b.low),
+            tuple(m for b in batches for m in b.high),
+            np.concatenate([b.normal_range for b in batches]),
+        )
+
+    def pad(self, start: int, stop: int, first: np.ndarray):
+        """``(ids, member, dist_low, dist_high)`` of views ``start:stop``,
+        padded to ``(b, M)`` / ``(b, M, M)``."""
+        c = self.counts[start:stop]
+        b, m = stop - start, int(c.max())
+        ids = np.full((b, m), self.ids[int(first[start])], dtype=np.int64)
+        member = np.zeros((b, m), dtype=bool)
+        low = np.zeros((b, m, m))
+        high = np.zeros((b, m, m))
+        for r, (i, size) in enumerate(zip(range(start, stop), c.tolist())):
+            s = int(first[i])
+            ids[r, :size] = self.ids[s:s + size]
+            member[r, :size] = True
+            low[r, :size, :size] = self.low[i]
+            high[r, :size, :size] = self.high[i]
+        return ids, member, low, high
+
 
 def _positions(hellos: Sequence[Hello]) -> np.ndarray:
     """``(len(hellos), 2)`` advertised positions."""
@@ -567,33 +390,44 @@ def _key_less(cost, key, target_cost, target_key) -> np.ndarray:
     return less
 
 
-def _rng_survivors(adj, cost, ids) -> np.ndarray:
-    """Condition 1 for every owner: :func:`rng_removable_batch` per row.
+# Every kernel maps ``(adj, cost_low, cost_high, ids)`` — ``(b, M, M)``
+# adjacency and cost bounds, ``(b, M)`` member ids, the owner at member 0
+# — to the ``(b, M)`` mask of owner links that survive.  Witness links are
+# judged by their upper bound, the link under test by its lower bound; on
+# single-version views both are one array.
+
+
+def rng_survivors(adj, cost_low, cost_high, ids) -> np.ndarray:
+    """Condition 1 for every owner.
 
     ``witness[b, v, w]``: w is adjacent to owner and v, and both witness
-    links precede the direct link (owner, v) in the total order.
+    links, by their upper bounds, precede the direct link (owner, v) by
+    its lower bound in the total order.
     """
     key = _tie_keys(ids)
-    target_cost = cost[:, 0, :, np.newaxis]
+    target_cost = cost_low[:, 0, :, np.newaxis]
     target_key = key[:, 0, :, np.newaxis]
-    witness = _key_less(cost, key, target_cost, target_key)
+    witness = _key_less(cost_high, key, target_cost, target_key)
     witness &= _key_less(
-        cost[:, 0, np.newaxis, :], key[:, 0, np.newaxis, :], target_cost, target_key
+        cost_high[:, 0, np.newaxis, :], key[:, 0, np.newaxis, :], target_cost, target_key
     )
     witness &= adj
     witness &= adj[:, 0, np.newaxis, :]
     return adj[:, 0, :] & ~witness.any(axis=2)
 
 
-def _spt_survivors(adj, cost, ids) -> np.ndarray:
+def spt_survivors(adj, cost_low, cost_high, ids) -> np.ndarray:
     """Condition 2 for every owner: one Dijkstra step for all rows at once.
 
-    Same visit order and float additions as :func:`spt_removable_batch`
-    (argmin ties break on the lower index); a row whose frontier is
-    exhausted relaxes from an infinite distance, which changes nothing.
+    Shortest paths run over upper-bound costs; a link survives unless the
+    path beats its lower bound strictly.  The direct link contributes its
+    upper bound, which is never below its lower one, so one Dijkstra
+    serves every link of the owner.  Argmin ties break on the lower
+    index; a row whose frontier is exhausted relaxes from an infinite
+    distance, which changes nothing.
     """
     b, m, _ = adj.shape
-    weights = np.where(adj, cost, np.inf)
+    weights = np.where(adj, cost_high, np.inf)
     dist = np.full((b, m), np.inf)
     dist[:, 0] = 0.0
     visited = np.zeros((b, m), dtype=bool)
@@ -603,105 +437,88 @@ def _spt_survivors(adj, cost, ids) -> np.ndarray:
         i = np.argmin(candidates, axis=1)
         visited[rows, i] = True
         dist = np.minimum(dist, candidates[rows, i][:, np.newaxis] + weights[rows, i])
-    return adj[:, 0, :] & ~(dist < cost[:, 0, :])
+    return adj[:, 0, :] & ~(dist < cost_low[:, 0, :])
 
 
-def _mst_survivors(adj, cost, ids) -> np.ndarray:
-    """Condition 3 for every owner: Prim's algorithm for all rows at once.
+def mst_survivors(adj, cost_low, cost_high, ids) -> np.ndarray:
+    """Condition 3 for every owner: one bottleneck (minimax) Dijkstra.
 
-    (owner, v) survives iff v joins the tree with the owner as parent, as
-    in :func:`mst_removable_batch`; the minimum is taken in the total order
-    of links (cost, then ids), which is what the per-node ranks realise.
-    Once a row's tree spans everything reachable from its owner, its later
-    steps pick a member already in the tree (rewriting the same flags) or
-    one unreachable from the owner, so they change none of its verdicts.
+    ``label[v]`` is the smallest bottleneck — the largest link, by upper
+    bound, in the total order of (cost, min id, max id) — over the paths
+    from the owner to v found so far, the direct link included.  A link
+    (owner, v) is removed iff ``label[v]`` ends strictly below the link's
+    lower bound: the direct link itself bottlenecks at its upper bound,
+    never below the lower one, so only a witness path can get there.  On
+    single-version views this is the cycle property (survivors are the
+    owner's local MST edges).
     """
     b, m, _ = adj.shape
     top = np.iinfo(np.int64).max
-    link_cost = np.where(adj, cost, np.inf)
-    link_key = np.where(adj, _tie_keys(ids), top)
-    best_cost = link_cost[:, 0].copy()
-    best_key = link_key[:, 0].copy()
-    in_tree = np.zeros((b, m), dtype=bool)
-    in_tree[:, 0] = True
-    parent = np.zeros((b, m), dtype=np.intp)
-    owner_child = np.zeros((b, m), dtype=bool)
+    key = _tie_keys(ids)
+    link_cost = np.where(adj, cost_high, np.inf)
+    link_key = np.where(adj, key, top)
+    label_cost = link_cost[:, 0].copy()
+    label_key = link_key[:, 0].copy()
+    done = np.zeros((b, m), dtype=bool)
+    done[:, 0] = True
     rows = np.arange(b)
     for _ in range(m - 1):
-        candidates = np.where(in_tree, np.inf, best_cost)
+        candidates = np.where(done, np.inf, label_cost)
         low = candidates.min(axis=1, keepdims=True)
         if not np.isfinite(low).any():
             break
-        j = np.argmin(np.where(candidates == low, best_key, top), axis=1)
-        in_tree[rows, j] = True
-        owner_child[rows, j] = parent[rows, j] == 0
-        new_cost, new_key = link_cost[rows, j], link_key[rows, j]
-        improves = _key_less(new_cost, new_key, best_cost, best_key)
-        improves &= ~in_tree
-        parent[improves] = np.broadcast_to(j[:, np.newaxis], (b, m))[improves]
-        best_cost[improves] = new_cost[improves]
-        best_key[improves] = new_key[improves]
-    return adj[:, 0, :] & owner_child
+        j = np.argmin(np.where(candidates == low, label_key, top), axis=1)
+        done[rows, j] = True
+        # bottleneck of the path through j and on over link (j, w): the
+        # larger of j's label and that link
+        via_cost, via_key = link_cost[rows, j], link_key[rows, j]
+        base_cost = label_cost[rows, j, np.newaxis]
+        base_key = label_key[rows, j, np.newaxis]
+        keep = _key_less(via_cost, via_key, base_cost, base_key)
+        via_cost = np.where(keep, base_cost, via_cost)
+        via_key = np.where(keep, base_key, via_key)
+        improves = _key_less(via_cost, via_key, label_cost, label_key)
+        improves &= ~done
+        label_cost[improves] = via_cost[improves]
+        label_key[improves] = via_key[improves]
+    removed = _key_less(label_cost, label_key, cost_low[:, 0], key[:, 0])
+    return adj[:, 0, :] & ~removed
 
 
-#: per-view batch predicate -> its whole-world kernel
-#: ``(adj, cost, ids) -> (b, M) survivor mask``
-VIEW_KERNELS = {
-    rng_removable_batch: _rng_survivors,
-    spt_removable_batch: _spt_survivors,
-    mst_removable_batch: _mst_survivors,
-}
-
-
-def decide_views(batch: ViewBatch, kernel, cost_model: CostModel) -> list[SelectionResult]:
+def decide_views(batch, kernel, cost_model: CostModel) -> list[SelectionResult]:
     """One :class:`SelectionResult` per view of *batch*, in one array pass.
 
-    Equal, view for view, to :func:`apply_removal_condition` on the view's
-    :class:`LocalCostGraph` with the per-view predicate *kernel* stands for
-    (see :data:`VIEW_KERNELS`).  Views are padded to ``(b, M, M)`` per
-    chunk; padding members are no one's neighbors.
+    *batch* is a :class:`ViewBatch` (single-version views) or an
+    :class:`IntervalBatch` (k-version views, the enhanced conditions);
+    *kernel* one of :func:`rng_survivors`, :func:`spt_survivors`,
+    :func:`mst_survivors`.  Views are padded to ``(b, M, M)`` per chunk;
+    padding members are no one's neighbors.  The actual range covers the
+    farthest survivor by upper-bound distance.
     """
     results: list[SelectionResult] = []
     counts = batch.counts
     first = np.cumsum(counts) - counts
     for start, stop in _chunks(counts):
-        c = counts[start:stop]
-        b, m = stop - start, int(c.max())
-        flat = slice(int(first[start]), int(first[start] + c.sum()))
-        row = np.repeat(np.arange(b), c)
-        col = np.arange(row.size) - (first[start:stop] - first[start])[row]
-        ids = np.full((b, m), batch.ids[flat.start], dtype=np.int64)
-        x = np.zeros((b, m))
-        y = np.zeros((b, m))
-        member = np.zeros((b, m), dtype=bool)
-        ids[row, col] = batch.ids[flat]
-        x[row, col] = batch.x[flat]
-        y[row, col] = batch.y[flat]
-        member[row, col] = True
-        # dist = sqrt(dx*dx + dy*dy) from separate x / y planes, in place:
-        # the same roundings as the per-view einsum over a (m, m, 2)
-        # difference tensor (pinned by tests/test_property_decide_batch.py),
-        # with two (b, M, M) temporaries.
-        dist = x[:, :, np.newaxis] - x[:, np.newaxis, :]
-        dist *= dist
-        dy = y[:, :, np.newaxis] - y[:, np.newaxis, :]
-        dy *= dy
-        dist += dy
-        del dy
-        np.sqrt(dist, out=dist)
+        ids, member, dist_low, dist_high = batch.pad(start, stop, first)
+        m = ids.shape[1]
         adj = (
-            (dist <= batch.normal_range[start:stop, np.newaxis, np.newaxis])
+            (dist_low <= batch.normal_range[start:stop, np.newaxis, np.newaxis])
             & member[:, :, np.newaxis]
             & member[:, np.newaxis, :]
         )
         adj[:, np.arange(m), np.arange(m)] = False
-        cost = np.asarray(cost_model.from_distance(dist), dtype=np.float64)
-        survive = kernel(adj, cost, ids)
-        ranges = np.where(survive, dist[:, 0, :], 0.0).max(axis=1).tolist()
+        cost_low = np.asarray(cost_model.from_distance(dist_low), dtype=np.float64)
+        cost_high = (
+            cost_low
+            if dist_high is dist_low
+            else np.asarray(cost_model.from_distance(dist_high), dtype=np.float64)
+        )
+        survive = kernel(adj, cost_low, cost_high, ids)
+        ranges = np.where(survive, dist_high[:, 0, :], 0.0).max(axis=1).tolist()
         owners = ids[:, 0].tolist()
         hit_rows, hit_cols = np.nonzero(survive)
         chosen = ids[hit_rows, hit_cols].tolist()
-        ends = np.cumsum(np.bincount(hit_rows, minlength=b)).tolist()
+        ends = np.cumsum(np.bincount(hit_rows, minlength=stop - start)).tolist()
         lo = 0
         for owner, hi, reach in zip(owners, ends, ranges):
             results.append(SelectionResult(owner, frozenset(chosen[lo:hi]), reach))

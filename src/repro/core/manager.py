@@ -4,20 +4,26 @@
 protocol with the three mobility mechanisms the paper proposes/evaluates:
 
 1. a **consistency mechanism** choosing the view behind each decision
-   (baseline / view synchronization / proactive / reactive / weak),
+   (baseline / view synchronization / proactive / reactive / weak /
+   gossip),
 2. a **buffer zone** extending the actual transmission range
    (Theorem 5 width or an experimental width),
 3. optional **physical-neighbor forwarding** (accept packets from any
    in-range sender, not only logical neighbors).
 
 The object is simulator-agnostic: it turns a neighbor table + current
-position into a :class:`NodeDecision`.  The simulator calls it at Hello
-time and (for packet-recomputing mechanisms) at forward time; library
-users can call it directly on hand-built tables.
-
-Packet-time recomputation of a whole world goes through
-:meth:`MobilitySensitiveTopologyControl.decide_many`, one array pass
-where the protocol has a kernel (see ``docs/PERFORMANCE.md``).
+position into a :class:`NodeDecision`.  Library users call
+:meth:`~MobilitySensitiveTopologyControl.decide` on hand-built tables.
+The simulator decides through the protocol's array kernel wherever there
+is one (:attr:`~MobilitySensitiveTopologyControl.kernel_route`).  At
+Hello time it gathers the owner's view
+(:meth:`~MobilitySensitiveTopologyControl.gather`) and later decides all
+it gathered in one pass
+(:meth:`~MobilitySensitiveTopologyControl.decide_gathered`); at packet
+time :meth:`~MobilitySensitiveTopologyControl.decide_many` gathers and
+decides the whole world at once (see ``docs/PERFORMANCE.md``).  Without a
+kernel it calls :meth:`~MobilitySensitiveTopologyControl.decide` owner by
+owner.
 """
 
 from __future__ import annotations
@@ -132,6 +138,38 @@ class MobilitySensitiveTopologyControl:
             self.protocol, table, now, current_hello, version=version
         )
         return self._decision(now, result)
+
+    @property
+    def kernel_route(self) -> bool:
+        """True when decisions can be gathered and decided in batches: the
+        protocol has an array kernel and the mechanism a batched gather."""
+        return self.protocol.view_kernel is not None and self.mechanism.gather_views is not None
+
+    def gather(
+        self,
+        table: NeighborTable,
+        now: float,
+        current_hello: Hello,
+        version: int | None = None,
+    ):
+        """The view :meth:`decide` would decide from, gathered *now* for a
+        later :meth:`decide_gathered` (requires :attr:`kernel_route`).
+
+        Raises :class:`~repro.util.errors.ViewError` where :meth:`decide`
+        would.
+        """
+        return self.mechanism.gather_view(table, now, current_hello, version=version)
+
+    def decide_gathered(
+        self, views: Sequence, times: Sequence[float]
+    ) -> list[NodeDecision]:
+        """Decide gathered *views* in one array pass, in order.
+
+        ``times[i]`` is the instant ``views[i]`` was gathered at; decision
+        *i* equals :meth:`decide` at that instant.
+        """
+        results = self.mechanism.decide_gathered(self.protocol, views)
+        return [self._decision(t, result) for t, result in zip(times, results)]
 
     def decide_many(
         self,

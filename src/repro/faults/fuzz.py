@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 import numpy as np
 
 from repro.analysis.experiment import ExperimentSpec, build_mobility
+from repro.core._reference import ReferenceProtocol
 from repro.core.audit import audit_world
 from repro.core.buffer_zone import BufferZonePolicy, buffer_width
 from repro.core.consistency import (
@@ -59,7 +60,8 @@ from repro.protocols.base import make_protocol
 from repro.sim.config import ScenarioConfig
 from repro.sim.flood import flood
 from repro.sim.world import NetworkWorld
-from repro.util.errors import ConfigurationError, ViewError
+from repro.telemetry import Telemetry
+from repro.util.errors import ConfigurationError
 from repro.util.randomness import SeedSequenceFactory
 
 __all__ = [
@@ -212,7 +214,7 @@ def load_case(path: str | Path) -> FuzzCase:
 # world construction + execution
 
 
-def build_fuzz_world(case: FuzzCase) -> NetworkWorld:
+def build_fuzz_world(case: FuzzCase, telemetry: Telemetry | None = None) -> NetworkWorld:
     """Wire the world a :class:`FuzzCase` describes.
 
     Mirrors :func:`repro.analysis.experiment.build_world` but understands
@@ -236,7 +238,8 @@ def build_fuzz_world(case: FuzzCase) -> NetworkWorld:
         physical_neighbor_mode=spec.physical_neighbor_mode,
     )
     return NetworkWorld(
-        spec.config, mobility, manager, seed=case.seed, faults=case.schedule
+        spec.config, mobility, manager, seed=case.seed, faults=case.schedule,
+        telemetry=telemetry,
     )
 
 
@@ -244,27 +247,20 @@ def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(cfg.warmup, cfg.duration + 1e-9, 1.0 / cfg.sample_rate)
 
 
-def _per_node_redecide(world: NetworkWorld) -> Callable[..., None]:
-    """The oracle for *world*'s ``redecide_all``: one ``decide_node`` per node.
+def _reference_twin(case: FuzzCase, telemetry: Telemetry) -> NetworkWorld:
+    """The world of *case* deciding every Hello-time and packet-time
+    decision per owner through the reference predicates, at once: its
+    kernel protocol is replaced by a
+    :class:`~repro.core._reference.ReferenceProtocol`, which has no kernel."""
+    twin = build_fuzz_world(case, telemetry=telemetry)
+    if twin.manager.protocol.view_kernel is not None:
+        twin.manager.protocol = ReferenceProtocol(twin.manager.protocol)
+    return twin
 
-    Install it as ``world.redecide_all`` to get a twin whose packet-time
-    decisions take the per-node route instead of the whole-world kernel.
-    """
 
-    def redecide_all(version: int | None = None) -> None:
-        inj = world.fault_injector
-        now = world.engine.now
-        world._geometry(now)
-        for node in world.nodes:
-            if inj is not None and inj.node_down(node.node_id, now):
-                continue
-            try:
-                world.decide_node(node.node_id, version=version)
-            except ViewError:
-                continue
-            node.packet_decisions += 1
-
-    return redecide_all
+def _range_changes(telemetry: Telemetry) -> list:
+    """The ``range_change`` records of *telemetry*, in order."""
+    return [event for event in telemetry.events if event.kind == "range_change"]
 
 
 def _decision_state(world: NetworkWorld) -> tuple:
@@ -319,19 +315,21 @@ def run_case(
         event hook) rather than only at sampling instants — slower but
         catches transient violations between samples.
     differential:
-        Also run a twin of the same case whose packet-time
-        ``redecide_all`` is the per-node loop (:func:`_per_node_redecide`),
-        flooded from the same sources, and require identical standing
-        decisions at every sampling instant (the whole-world kernel must
-        equal per-node selection even under faults).
+        Also run a twin of the same case that decides every Hello-time
+        and packet-time decision per owner through the reference
+        predicates (:func:`_reference_twin`), flooded from the same
+        sources, and require identical standing decisions
+        and ``range_change`` records (time, node, old and new range) at
+        every sampling instant: the kernels must equal per-owner
+        selection even under faults.
     stop_at_first:
         Return at the first violating instant (the shrinker's fast path).
     """
-    world = build_fuzz_world(case)
-    twin = None
+    twin = tel = twin_tel = None
     if differential:
-        twin = build_fuzz_world(case)
-        twin.redecide_all = _per_node_redecide(twin)
+        tel, twin_tel = Telemetry(), Telemetry()
+        twin = _reference_twin(case, twin_tel)
+    world = build_fuzz_world(case, telemetry=tel)
     findings: list[OracleFinding] = []
     if deep:
         last_audited = [float("nan")]
@@ -353,12 +351,14 @@ def run_case(
         if twin is not None:
             twin.run_until(float(t))
             flood(twin, source)
-            if _decision_state(world) != _decision_state(twin):
+            if _decision_state(world) != _decision_state(twin) or (
+                _range_changes(tel) != _range_changes(twin_tel)
+            ):
                 findings.append(
                     OracleFinding(
                         "kernel-differential", float(t),
-                        "standing decisions differ between the whole-world "
-                        "and per-node redecide runs of the same seed",
+                        "standing decisions or range changes differ between "
+                        "the kernel and per-owner reference runs of the same seed",
                     )
                 )
         if findings and stop_at_first:

@@ -10,10 +10,12 @@ asserted.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.world import WorldSnapshot
+
+# networkx is imported where it is used: it costs ~0.15 s, which every
+# CLI call and worker process would otherwise pay at start-up.
 
 __all__ = [
     "edge_connectivity",
@@ -23,7 +25,9 @@ __all__ = [
 ]
 
 
-def _to_graph(adj: np.ndarray) -> nx.Graph:
+def _to_graph(adj: np.ndarray):
+    import networkx as nx
+
     g = nx.Graph()
     n = adj.shape[0]
     g.add_nodes_from(range(n))
@@ -37,6 +41,8 @@ def edge_connectivity(adj: np.ndarray) -> int:
 
     0 for disconnected (or single-node) graphs.
     """
+    import networkx as nx
+
     n = adj.shape[0]
     if n <= 1:
         return 0
@@ -48,6 +54,8 @@ def edge_connectivity(adj: np.ndarray) -> int:
 
 def vertex_connectivity(adj: np.ndarray) -> int:
     """Global vertex connectivity of an undirected boolean adjacency."""
+    import networkx as nx
+
     n = adj.shape[0]
     if n <= 1:
         return 0
@@ -61,6 +69,8 @@ def snapshot_edge_connectivity(
     snap: WorldSnapshot, physical_neighbor_mode: bool = False
 ) -> int:
     """Edge connectivity of a snapshot's undirected effective topology."""
+    import networkx as nx
+
     if snap.prefers_dense:
         return edge_connectivity(snap.effective_bidirectional(physical_neighbor_mode))
     graph = snap.effective_bidirectional_csr(physical_neighbor_mode)

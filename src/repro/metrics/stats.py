@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["Estimate", "mean_ci"]
 
@@ -64,5 +63,9 @@ def mean_ci(samples, confidence: float = 0.95) -> Estimate:
     sem = float(arr.std(ddof=1) / math.sqrt(n))
     if sem == 0.0:
         return Estimate(mean=mean, half_width=0.0, n=n)
+    # scipy.stats costs ~0.8 s to import: paid here, on first use, rather
+    # than by every CLI call and worker process at start-up
+    from scipy import stats as sps
+
     t = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return Estimate(mean=mean, half_width=t * sem, n=n)

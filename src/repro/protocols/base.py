@@ -15,10 +15,10 @@ from abc import ABC, abstractmethod
 
 from repro.core.costs import CostModel, DistanceCost
 from repro.core.framework import (
-    VIEW_KERNELS,
-    LocalCostGraph,
+    IntervalBatch,
     SelectionResult,
-    apply_removal_condition,
+    ViewBatch,
+    decide_views,
 )
 from repro.core.views import LocalView, MultiVersionView
 from repro.util.errors import ProtocolError
@@ -80,8 +80,8 @@ class TopologyControlProtocol(ABC):
     name: str = ""
     #: True if select_conservative implements the enhanced conditions
     supports_conservative: bool = False
-    #: whole-world kernel deciding many single-version views in one array
-    #: pass (:func:`~repro.core.framework.decide_views`), or None: such
+    #: array kernel deciding many views in one pass
+    #: (:func:`~repro.core.framework.decide_views`), or None: such
     #: protocols decide view by view through :meth:`select`
     view_kernel = None
 
@@ -107,11 +107,15 @@ class TopologyControlProtocol(ABC):
 class ConditionProtocol(TopologyControlProtocol):
     """Shared machinery for the three link-removal-condition protocols.
 
-    Subclasses provide a cost model and a removal predicate
-    ``f(LocalCostGraph, owner_index, neighbor_index) -> bool``; both plain
-    and conservative selection then come for free (the predicate reads
-    lower bounds for the candidate link and upper bounds for witnesses,
-    which coincide on single-version views).
+    Subclasses name a cost model and their array kernel
+    (:attr:`view_kernel`, wrapped in :func:`staticmethod`); plain and
+    conservative selection are then one-view
+    :func:`~repro.core.framework.decide_views` calls, and worlds batch
+    many views through the same kernel.  The kernel reads lower bounds
+    for the candidate link and upper bounds for witnesses, which
+    coincide on single-version views.  A subclass that overrides
+    :meth:`select` sets :attr:`view_kernel` to None, or worlds keep
+    deciding through the kernel.
     """
 
     supports_conservative = True
@@ -119,29 +123,12 @@ class ConditionProtocol(TopologyControlProtocol):
     def __init__(self, cost_model: CostModel | None = None) -> None:
         self.cost_model = cost_model or DistanceCost()
 
-    @property
-    @abstractmethod
-    def _removable(self):
-        """The removal predicate for this protocol."""
-
     def select(self, view: LocalView) -> SelectionResult:
-        graph = LocalCostGraph.from_local_view(view, self.cost_model)
-        return apply_removal_condition(graph, self._removable)
-
-    @property
-    def view_kernel(self):
-        """The array kernel of :attr:`_removable`, if it has one.
-
-        None when a subclass overrides :meth:`select`: the kernel stands
-        for this class's selection only.
-        """
-        if type(self).select is not ConditionProtocol.select:
-            return None
-        return VIEW_KERNELS.get(self._removable)
+        return decide_views(ViewBatch.of_view(view), self.view_kernel, self.cost_model)[0]
 
     def select_conservative(self, view: MultiVersionView) -> SelectionResult:
-        graph = LocalCostGraph.from_multi_version_view(view, self.cost_model)
-        return apply_removal_condition(graph, self._removable)
+        batch = IntervalBatch.of_views([view])
+        return decide_views(batch, self.view_kernel, self.cost_model)[0]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(cost_model={self.cost_model!r})"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.costs import cost_key
-from repro.core.framework import LocalCostGraph
-from repro.protocols.base import ConditionProtocol, register_protocol
+from repro.core.costs import DistanceCost, cost_key
+from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_condition
+from repro.core.views import LocalView, MultiVersionView
+from repro.protocols.base import TopologyControlProtocol, register_protocol
 
 __all__ = ["GabrielProtocol", "gabriel_removable"]
 
@@ -39,11 +40,19 @@ def gabriel_removable(graph: LocalCostGraph, owner: int, v: int) -> bool:
 
 
 @register_protocol
-class GabrielProtocol(ConditionProtocol):
+class GabrielProtocol(TopologyControlProtocol):
     """Gabriel-graph protocol (diametral-disk witness removal)."""
 
     name = "gabriel"
+    supports_conservative = True
 
-    @property
-    def _removable(self):
-        return gabriel_removable
+    def __init__(self) -> None:
+        self.cost_model = DistanceCost()
+
+    def select(self, view: LocalView) -> SelectionResult:
+        graph = LocalCostGraph.from_local_view(view, self.cost_model)
+        return apply_removal_condition(graph, gabriel_removable)
+
+    def select_conservative(self, view: MultiVersionView) -> SelectionResult:
+        graph = LocalCostGraph.from_multi_version_view(view, self.cost_model)
+        return apply_removal_condition(graph, gabriel_removable)

@@ -10,7 +10,7 @@ degree ≈ 2.09) and therefore most mobility-fragile logical topology.
 
 from __future__ import annotations
 
-from repro.core.framework import mst_removable_batch
+from repro.core.framework import mst_survivors
 from repro.protocols.base import ConditionProtocol, register_protocol
 
 __all__ = ["MstProtocol"]
@@ -20,14 +20,9 @@ __all__ = ["MstProtocol"]
 class MstProtocol(ConditionProtocol):
     """Local minimum-spanning-tree protocol (removal condition 3).
 
-    Selection runs the batched form (one Prim pass per decision on
-    single-version views; per-edge bottleneck reachability on interval
-    views) — semantics identical to :func:`repro.core.framework
-    .mst_removable`, verified by equivalence tests.
+    Selection runs :func:`~repro.core.framework.mst_survivors`, one
+    bottleneck Dijkstra over the owner's view.
     """
 
     name = "mst"
-
-    @property
-    def _removable(self):
-        return mst_removable_batch
+    view_kernel = staticmethod(mst_survivors)

@@ -6,7 +6,7 @@ Link (u, v) is removed when a third node w, visible to both, satisfies
 
 from __future__ import annotations
 
-from repro.core.framework import rng_removable_batch
+from repro.core.framework import rng_survivors
 from repro.protocols.base import ConditionProtocol, register_protocol
 
 __all__ = ["RngProtocol"]
@@ -16,14 +16,9 @@ __all__ = ["RngProtocol"]
 class RngProtocol(ConditionProtocol):
     """Relative neighborhood graph protocol (removal condition 1).
 
-    Selection runs the batched form (one broadcast witness mask over all
-    of the owner's links per decision) — semantics identical to the
-    per-edge :func:`repro.core.framework.rng_removable` on both exact and
-    interval cost graphs, verified by equivalence tests.
+    Selection runs :func:`~repro.core.framework.rng_survivors`, one
+    broadcast witness mask over all of the owner's links.
     """
 
     name = "rng"
-
-    @property
-    def _removable(self):
-        return rng_removable_batch
+    view_kernel = staticmethod(rng_survivors)

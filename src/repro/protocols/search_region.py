@@ -23,7 +23,7 @@ same premises (Theorem 1 applies through removal condition 2).
 from __future__ import annotations
 
 from repro.core.costs import EnergyCost
-from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_condition, spt_removable_batch
+from repro.core.framework import SelectionResult, ViewBatch, decide_views, spt_survivors
 from repro.core.views import LocalView
 from repro.protocols.base import TopologyControlProtocol, register_protocol
 from repro.util.validate import check_positive
@@ -80,8 +80,7 @@ class SearchRegionSptProtocol(TopologyControlProtocol):
             normal_range=view.normal_range,
             sampled_at=view.sampled_at,
         )
-        graph = LocalCostGraph.from_local_view(sub_view, self.cost_model)
-        return apply_removal_condition(graph, spt_removable_batch)
+        return decide_views(ViewBatch.of_view(sub_view), spt_survivors, self.cost_model)[0]
 
     def _covers(self, view: LocalView, selected: frozenset[int], region: float) -> bool:
         """True iff every known neighbor beyond *region* has a cheaper relay."""

@@ -11,7 +11,7 @@ SPT-4 prunes far more aggressively than SPT-2.
 from __future__ import annotations
 
 from repro.core.costs import EnergyCost
-from repro.core.framework import spt_removable_batch
+from repro.core.framework import spt_survivors
 from repro.protocols.base import ConditionProtocol, register_protocol
 
 __all__ = ["SptProtocol", "Spt2Protocol", "Spt4Protocol"]
@@ -29,14 +29,11 @@ class SptProtocol(ConditionProtocol):
     """
 
     name = "spt"
+    view_kernel = staticmethod(spt_survivors)
 
     def __init__(self, alpha: float = 2.0, const: float = 0.0) -> None:
         super().__init__(EnergyCost(alpha=alpha, const=const))
         self.alpha = float(alpha)
-
-    @property
-    def _removable(self):
-        return spt_removable_batch
 
     def __repr__(self) -> str:
         return f"SptProtocol(alpha={self.alpha:g})"

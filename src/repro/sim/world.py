@@ -13,9 +13,13 @@
   behind every node's table.  Armed faults act on that batch: outages
   and stale-version discards mask receivers, delivery delays split it
   into one event per distinct arrival time;
-- **decisions** run right after each Hello (the paper's Fig. 3 timing) and,
-  for packet-recomputing mechanisms, again at packet time via
-  :meth:`redecide_all`;
+- **decisions** are taken right after each Hello (the paper's Fig. 3
+  timing) and, for packet-recomputing mechanisms, again at packet time via
+  :meth:`redecide_all`.  Where the protocol has an array kernel, a Hello
+  only gathers the owner's view; everything gathered is decided in one
+  kernel pass the first time anything reads or replaces a standing
+  decision (:class:`~repro.sim.node.SimNode` settles the queue), and at
+  the latest when :meth:`run_until` returns;
 - **snapshots** freeze the directed effective topology at any instant for
   the metrics layer, fully vectorized.
 
@@ -498,6 +502,10 @@ class NetworkWorld:
         self._oracle = HelloReceiverOracle(
             mobility, config.normal_range, propagation=self._propagation
         )
+        # Gathered Hello-time decisions, in Hello order: (node, t, view).
+        # Every node holds the list and settles it before its decision is
+        # read or replaced.
+        self._pending: list = []
         self.nodes = [
             SimNode(
                 node_id=i,
@@ -508,6 +516,8 @@ class NetworkWorld:
                     expiry=config.hello_expiry,
                     state=self._neighbor_state,
                 ),
+                pending=self._pending,
+                settle=self._settle_pending,
             )
             for i in range(config.n_nodes)
         ]
@@ -911,12 +921,12 @@ class NetworkWorld:
             timestamp=self.clocks.local_time(node.node_id, t),
         )
 
-    def _settle(
+    def _install(
         self, node: SimNode, decision: NodeDecision, t: float, tel: Telemetry
     ) -> None:
         """Install *node*'s new standing decision, tracing range changes."""
         previous = node.decision
-        node.decision = decision
+        node._decision = decision
         if previous is None or previous.extended_range != decision.extended_range:
             tel.count("range_changes")
             tel.event(
@@ -931,22 +941,53 @@ class NetworkWorld:
         version: int | None = None,
         current_hello: Hello | None = None,
     ) -> None:
-        """Run topology control at one node, updating its standing decision."""
+        """Run topology control at one node, updating its standing decision.
+
+        With a kernel route
+        (:attr:`~repro.core.manager.MobilitySensitiveTopologyControl
+        .kernel_route`) the owner's view is gathered now and queued; the
+        queue is decided, in order, before any standing decision is read
+        or replaced, each decision stamped with its gathering time.
+        Raises :class:`~repro.util.errors.ViewError` when the owner cannot
+        decide.
+        """
         node = self.nodes[node_id]
         t = self.engine.now
         if current_hello is None:
             current_hello = self._current_hello(node, t)
+        manager = self.manager
+        if manager.kernel_route:
+            view = manager.gather(node.table, t, current_hello, version=version)
+            self._pending.append((node, t, view))
+            return
         tel = self._tel
         if tel is None:
-            node.decision = self.manager.decide(
-                node.table, t, current_hello, version=version
-            )
+            node.decision = manager.decide(node.table, t, current_hello, version=version)
             return
         with tel.span("decide"):
-            decision = self.manager.decide(
-                node.table, t, current_hello, version=version
-            )
-        self._settle(node, decision, t, tel)
+            decision = manager.decide(node.table, t, current_hello, version=version)
+        self._install(node, decision, t, tel)
+
+    def _settle_pending(self) -> None:
+        """Decide every queued Hello-time decision in one kernel pass and
+        install them in Hello order (span ``decide``)."""
+        entries = self._pending[:]
+        if not entries:
+            return
+        self._pending.clear()
+        views = [view for _, _, view in entries]
+        times = [t for _, t, _ in entries]
+        tel = self._tel
+        if tel is None:
+            for (node, _, _), decision in zip(
+                entries, self.manager.decide_gathered(views, times)
+            ):
+                node._decision = decision
+            return
+        with tel.span("decide"):
+            decisions = self.manager.decide_gathered(views, times)
+        for (node, t, _), decision in zip(entries, decisions):
+            self._install(node, decision, t, tel)
 
     def redecide_all(self, version: int | None = None) -> None:
         """Re-decide every node *now* — packet-time recomputation.
@@ -997,15 +1038,20 @@ class NetworkWorld:
             if tel is None:
                 node.decision = decision
             else:
-                self._settle(node, decision, now, tel)
+                self._install(node, decision, now, tel)
             node.packet_decisions += 1
 
     # ------------------------------------------------------------------ #
     # running & observing
 
     def run_until(self, t: float) -> None:
-        """Advance the simulation to physical time *t*."""
+        """Advance the simulation to physical time *t*.
+
+        Returns with no decision queued, so everything the run recorded,
+        ``range_change`` telemetry included, is complete.
+        """
         self.engine.run(until=t)
+        self._settle_pending()
 
     def fault_stats(self) -> dict[str, int]:
         """Injected-fault counters (empty when no schedule is armed)."""

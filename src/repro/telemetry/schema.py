@@ -27,6 +27,9 @@ _HISTOGRAM_KEYS = {"count", "total", "min", "max", "mean"}
 #: written before it existed (or by trimmed exporters) remain valid.
 _HISTOGRAM_OPTIONAL = {"sumsq"}
 _SPAN_KEYS = {"count", "total_s", "self_s", "mean_s", "min_s", "max_s"}
+#: Event kinds earlier releases wrote under the same schema tag (2.0.0's
+#: decision cache); their streams stay valid.
+RETIRED_EVENT_KINDS = frozenset({"decision_cache_hit", "decision_cache_miss"})
 
 
 def _is_number(value: object) -> bool:
@@ -72,7 +75,7 @@ def _check_event(record: dict, where: str, errors: list[str]) -> None:
     kind = record.get("kind")
     if not isinstance(kind, str) or not kind:
         errors.append(f"{where}: event needs a non-empty string 'kind'")
-    elif kind not in EVENT_KINDS:
+    elif kind not in EVENT_KINDS and kind not in RETIRED_EVENT_KINDS:
         errors.append(f"{where}: unknown event kind {kind!r} (taxonomy: {sorted(EVENT_KINDS)})")
     if not _is_number(record.get("t")):
         errors.append(f"{where}: event needs a numeric time 't'")

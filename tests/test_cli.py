@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_import_leaves_heavy_libraries_unloaded():
+    # scipy.stats (~0.8 s) and networkx (~0.15 s) load on first use, so a
+    # CLI call or a queue worker does not pay for them at start-up.
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestParser:

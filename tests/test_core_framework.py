@@ -1,4 +1,5 @@
-"""Tests for repro.core.framework: cost graphs and removal conditions."""
+"""Tests for the cost graphs of repro.core.framework and the per-owner
+removal conditions of repro.core._reference (the kernels' oracles)."""
 
 from __future__ import annotations
 
@@ -7,21 +8,21 @@ import pytest
 
 from conftest import make_multi_view, make_view
 from repro.core.costs import DistanceCost, EnergyCost
-from repro.core.framework import (
-    LocalCostGraph,
-    SelectionResult,
-    apply_removal_condition,
+from repro.core._reference import (
+    RankedCostGraph,
     mst_removable,
     rng_removable,
     rng_removable_batch,
+    select_batch,
     spt_removable,
 )
+from repro.core.framework import LocalCostGraph, SelectionResult, apply_removal_condition
 from repro.util.errors import ProtocolError
 
 
 def graph_of(positions, normal_range=100.0, cost_model=None, owner=0):
     view = make_view(owner, positions, normal_range=normal_range)
-    return LocalCostGraph.from_local_view(view, cost_model or DistanceCost())
+    return RankedCostGraph.from_local_view(view, cost_model or DistanceCost())
 
 
 class TestLocalCostGraph:
@@ -151,7 +152,7 @@ class TestConditionStrengthOrdering:
         for _ in range(20):
             pts = {i: tuple(rng.random(2) * 60) for i in range(8)}
             view = make_view(0, pts, normal_range=100.0)
-            g = LocalCostGraph.from_local_view(view, model)
+            g = RankedCostGraph.from_local_view(view, model)
             for j in np.flatnonzero(g.adj[0]):
                 if spt_removable(g, 0, int(j)):
                     assert mst_removable(g, 0, int(j))
@@ -172,7 +173,7 @@ class TestApplyRemovalCondition:
 
     def test_conservative_range_uses_upper_bound(self):
         view = make_multi_view(0, {0: [(0, 0)], 1: [(4, 0), (6, 0)]}, normal_range=50.0)
-        g = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+        g = RankedCostGraph.from_multi_version_view(view, DistanceCost())
         result = apply_removal_condition(g, rng_removable)
         assert result.actual_range == pytest.approx(6.0)
 
@@ -207,7 +208,7 @@ class TestRngBatchKernel:
             pts = {i: tuple(rng.random(2) * 70) for i in range(n)}
             for model in (DistanceCost(), EnergyCost(alpha=2)):
                 view = make_view(0, pts, normal_range=60.0)
-                g = LocalCostGraph.from_local_view(view, model)
+                g = RankedCostGraph.from_local_view(view, model)
                 assert rng_removable_batch(g) == self._oracle(g)
 
     def test_collinear_layouts(self, rng):
@@ -238,7 +239,7 @@ class TestRngBatchKernel:
                 for i in range(n)
             }
             view = make_multi_view(0, hist, normal_range=70.0)
-            g = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+            g = RankedCostGraph.from_multi_version_view(view, DistanceCost())
             assert rng_removable_batch(g) == self._oracle(g)
 
     def test_empty_neighborhood(self):
@@ -246,12 +247,12 @@ class TestRngBatchKernel:
         assert rng_removable_batch(g) == {}
 
     def test_selection_result_identical_to_per_edge(self, rng):
-        # end to end: the batch path of apply_removal_condition yields the
-        # same SelectionResult (survivors, range) as the per-edge path
+        # end to end: the batch predicate's selection has the same
+        # survivors and range as the per-edge path
         for _ in range(20):
             n = int(rng.integers(2, 12))
             pts = {i: tuple(rng.random(2) * 70) for i in range(n)}
             g = graph_of(pts, normal_range=60.0)
-            batch = apply_removal_condition(g, rng_removable_batch)
+            batch = select_batch(g, rng_removable_batch)
             scalar = apply_removal_condition(g, rng_removable)
             assert batch == scalar

@@ -140,6 +140,21 @@ class TestKernelDifferential:
             result = run_case(case, differential=True)
         assert any("kernel-differential" in f for f in result.findings)
 
+    @pytest.mark.parametrize("protocol", ["rng", "mst"])
+    @pytest.mark.parametrize(
+        "mechanism", ["baseline", "view-sync", "proactive", "reactive", "weak"]
+    )
+    def test_deep_audited_world_matches_reference_twin(self, mechanism, protocol):
+        # The audit reads every standing decision after every event, so a
+        # decision still queued at any reader would show up as a finding
+        # or as a standing decision that differs from the twin's.
+        case = static_case(mechanism, LONG_OUTAGE)
+        case = replace(case, spec=case.spec.with_(protocol=protocol))
+        world = build_fuzz_world(case)
+        assert world.manager.kernel_route
+        result = run_case(case, deep=True, differential=True, stop_at_first=False)
+        assert not result.failed, result.findings
+
 
 class TestCaseSerialization:
     def test_json_round_trip(self):

@@ -1,20 +1,23 @@
-"""The whole-world decision kernel: bit-identity with per-node selection.
+"""The whole-world decision kernels: bit-identity with per-owner selection.
 
-Packet-time recomputation (``World.redecide_all``) decides every live
-owner in one array pass
-(:func:`repro.core.framework.decide_views`, fed by the mechanisms'
-``gather_views``).  The per-node route — one ``LocalView``, one
-``LocalCostGraph`` and one removal predicate per owner — stays as the
-oracle, the way ``geometry/_reference.py`` backs the geometry kernels.
+Every decision of a kernel protocol runs through
+:func:`repro.core.framework.decide_views`: packet-time recomputation
+(``World.redecide_all``) decides every live owner in one array pass, and
+Hello-time decisions are gathered and settled in one pass the first time
+anything reads a standing decision.  The per-owner route — one view, one
+:class:`~repro.core._reference.RankedCostGraph` and one reference
+predicate per owner, as :class:`~repro.core._reference.ReferenceProtocol`
+decides — is the oracle, the way ``geometry/_reference.py`` backs the
+geometry kernels.
 
 Hypothesis builds columnar stores holding many owners' Hello histories
 (lattice positions with exact cost ties, expired-but-unpruned senders,
 owners that never advertised, arbitrary versions) and requires the kernel
-to return exactly the per-node :class:`SelectionResult` of every owner:
+to return exactly the per-owner :class:`SelectionResult` of every owner:
 the same ``frozenset`` of logical neighbors and a bit-equal
-``actual_range``.  The world-level tests drive faulted view-sync and
-proactive worlds against twins whose ``redecide_all`` is the per-node
-loop, comparing standing decisions, floods and range-change records.
+``actual_range``.  The world-level tests drive faulted worlds of every
+mechanism against twins running the reference protocol, comparing
+standing decisions, floods and range-change records at every sample.
 
 Run with a larger budget via ``--hypothesis-profile=deep``.
 """
@@ -30,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiment import ExperimentSpec, build_world
 from repro.core import framework
+from repro.core._reference import ReferenceProtocol
 from repro.core.consistency import (
     BaselineConsistency,
     GossipConsistency,
@@ -40,7 +44,7 @@ from repro.core.consistency import (
 from repro.core.neighbor_state import NeighborState
 from repro.core.tables import NeighborTable
 from repro.core.views import Hello
-from repro.faults.fuzz import _per_node_redecide
+from repro.faults.fuzz import BrokenViewSync
 from repro.faults.schedule import (
     ClockSkew,
     DeliveryDelay,
@@ -123,7 +127,9 @@ def stores(draw):
 
 
 def per_node(mechanism, protocol, tables, currents, version):
-    """The oracle: one per-view decision per owner, None on ViewError."""
+    """The oracle: one reference decision per owner, None on ViewError."""
+    if protocol.view_kernel is not None:
+        protocol = ReferenceProtocol(protocol)
     out = []
     for table, current in zip(tables, currents):
         try:
@@ -151,17 +157,26 @@ def assert_identical(got, want):
         assert np.float64(g.actual_range).tobytes() == np.float64(w.actual_range).tobytes()
 
 
+#: the latest-live gathers: the current own Hello, or the last advertised
+LATEST_LIVE = {
+    "baseline": BaselineConsistency(),
+    "view-sync": ViewSynchronization(),
+    "gossip": GossipConsistency(),
+}
+
+
 class TestKernelEqualsPerNode:
     @BUDGET
     @given(
         store=stores(),
         protocol=st.sampled_from(sorted(PROTOCOLS)),
+        mechanism=st.sampled_from(sorted(LATEST_LIVE)),
         budget=st.sampled_from([1, 20, 150, framework.KERNEL_CHUNK_ELEMENTS]),
     )
-    def test_latest_live_views(self, store, protocol, budget):
+    def test_latest_live_views(self, store, protocol, mechanism, budget):
         tables, currents = store
         proto = PROTOCOLS[protocol]
-        mechanism = ViewSynchronization()
+        mechanism = LATEST_LIVE[mechanism]
         want = per_node(mechanism, proto, tables, currents, None)
         with mock.patch.object(framework, "KERNEL_CHUNK_ELEMENTS", budget):
             got = whole_world(mechanism, proto, tables, currents, None)
@@ -181,6 +196,53 @@ class TestKernelEqualsPerNode:
         want = per_node(mechanism, proto, tables, currents, version)
         with mock.patch.object(framework, "KERNEL_CHUNK_ELEMENTS", budget):
             got = whole_world(mechanism, proto, tables, currents, version)
+        assert_identical(got, want)
+
+    @BUDGET
+    @given(
+        store=stores(),
+        protocol=st.sampled_from(sorted(PROTOCOLS)),
+        budget=st.sampled_from([1, 20, 150, framework.KERNEL_CHUNK_ELEMENTS]),
+    )
+    def test_weak_interval_views(self, store, protocol, budget):
+        tables, currents = store
+        proto = PROTOCOLS[protocol]
+        mechanism = WeakConsistency()
+        want = per_node(mechanism, proto, tables, currents, None)
+        with mock.patch.object(framework, "KERNEL_CHUNK_ELEMENTS", budget):
+            got = whole_world(mechanism, proto, tables, currents, None)
+        assert_identical(got, want)
+
+    @BUDGET
+    @given(
+        store=stores(),
+        protocol=st.sampled_from(sorted(PROTOCOLS)),
+        mechanism=st.sampled_from(["view-sync", "proactive", "weak"]),
+        version=st.one_of(st.none(), st.integers(0, 7)),
+    )
+    def test_gathered_one_by_one_then_settled_together(
+        self, store, protocol, mechanism, version
+    ):
+        # the Hello-time route: one gather per owner, one decide pass
+        tables, currents = store
+        proto = PROTOCOLS[protocol]
+        mech = {
+            "view-sync": ViewSynchronization(),
+            "proactive": ProactiveConsistency(),
+            "weak": WeakConsistency(),
+        }[mechanism]
+        want = per_node(mech, proto, tables, currents, version)
+        views, owners = [], []
+        for i, (table, current) in enumerate(zip(tables, currents)):
+            try:
+                views.append(mech.gather_view(table, NOW, current, version=version))
+            except ViewError:
+                continue
+            owners.append(i)
+        got: list = [None] * len(tables)
+        if views:
+            for i, result in zip(owners, mech.decide_gathered(proto, views)):
+                got[i] = result
         assert_identical(got, want)
 
 
@@ -258,18 +320,16 @@ class TestCorners:
             )
             assert "redecide_view" not in tel.spans
             assert got == per_node(ViewSynchronization(), proto, tables, currents, None)
-        for mechanism in (BaselineConsistency(), GossipConsistency(), WeakConsistency()):
-            assert mechanism.gather_views is None
-            tel = Telemetry()
-            got = mechanism.decide_many(
-                PROTOCOLS["rng"], tables, NOW, currents, spans=tel
-            )
-            assert "redecide_view" not in tel.spans
-            assert got == per_node(mechanism, PROTOCOLS["rng"], tables, currents, None)
+        mechanism = BrokenViewSync()
+        assert mechanism.gather_views is None
+        tel = Telemetry()
+        got = mechanism.decide_many(PROTOCOLS["rng"], tables, NOW, currents, spans=tel)
+        assert "redecide_view" not in tel.spans
+        assert got == per_node(mechanism, PROTOCOLS["rng"], tables, currents, None)
 
 
 # --------------------------------------------------------------------- #
-# world level: redecide_all against a per-node twin
+# world level: every decision against a reference-protocol twin
 
 
 FAULTS = FaultSchedule(
@@ -321,15 +381,25 @@ def _range_events(tel):
     return [event for event in tel.events if event.kind == "range_change"]
 
 
+def _reference_twin(spec, seed, telemetry):
+    """The world of *spec* deciding every decision per owner through the
+    reference predicates, at once (its protocol has no kernel)."""
+    twin = build_world(spec, seed, faults=FAULTS, telemetry=telemetry)
+    twin.manager.protocol = ReferenceProtocol(twin.manager.protocol)
+    assert not twin.manager.kernel_route
+    return twin
+
+
 @pytest.mark.parametrize("protocol", ["rng", "mst", "spt2"])
-@pytest.mark.parametrize("mechanism", ["view-sync", "proactive"])
+@pytest.mark.parametrize(
+    "mechanism", ["view-sync", "proactive", "baseline", "reactive", "weak", "gossip"]
+)
 def test_faulted_world_matches_per_node_twin(mechanism, protocol):
     spec = _spec(mechanism, protocol)
     seed = 23
     tel, twin_tel = Telemetry(), Telemetry()
     world = build_world(spec, seed, faults=FAULTS, telemetry=tel)
-    twin = build_world(spec, seed, faults=FAULTS, telemetry=twin_tel)
-    twin.redecide_all = _per_node_redecide(twin)
+    twin = _reference_twin(spec, seed, twin_tel)
     sources = SeedSequenceFactory(seed).rng("flood-sources")
     skipped = 0
     for t in np.arange(0.5, 6.0 + 1e-9, 0.25):
@@ -345,4 +415,6 @@ def test_faulted_world_matches_per_node_twin(mechanism, protocol):
         == twin_tel.registry.counters_dict()["range_changes"]
     )
     assert skipped > 0, "the outage must leave an owner that cannot decide"
-    assert {"redecide", "redecide_view", "redecide_kernel"} <= set(tel.spans)
+    assert "decide" in tel.spans
+    if world.manager.recompute_on_packet:
+        assert {"redecide", "redecide_view", "redecide_kernel"} <= set(tel.spans)

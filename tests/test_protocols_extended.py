@@ -10,8 +10,8 @@ import pytest
 
 from conftest import make_multi_view, make_view
 from repro.core.costs import DistanceCost, EnergyCost
-from repro.core.framework import (
-    LocalCostGraph,
+from repro.core._reference import (
+    RankedCostGraph,
     mst_removable,
     mst_removable_batch,
     rng_removable,
@@ -155,7 +155,7 @@ class TestFastPathEquivalence:
             else:
                 pts = {i: tuple(rng.random(2) * 70) for i in range(n)}
             for model in (DistanceCost(), EnergyCost(alpha=2)):
-                yield LocalCostGraph.from_local_view(
+                yield RankedCostGraph.from_local_view(
                     make_view(0, pts, normal_range=60.0), model
                 )
 
@@ -179,7 +179,7 @@ class TestFastPathEquivalence:
                 for i in range(n)
             }
             view = make_multi_view(0, hist, normal_range=70.0)
-            graph = LocalCostGraph.from_multi_version_view(view, DistanceCost())
+            graph = RankedCostGraph.from_multi_version_view(view, DistanceCost())
             batch = mst_removable_batch(graph)
             for j, verdict in batch.items():
                 assert verdict == mst_removable(graph, 0, j)

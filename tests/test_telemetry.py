@@ -494,6 +494,33 @@ class TestSchemaValidation:
         errors = validate_jsonl(path)
         assert any("unknown event kind 'meteor_strike'" in e for e in errors)
 
+    def test_accepts_a_2_0_0_stream_with_decision_cache_events(self, tmp_path):
+        # 2.0.0 traced every decision as a decision_cache_hit / _miss event
+        # (and a decision_cache counter) under the same schema tag.
+        path = tmp_path / "v2.0.0.jsonl"
+        records = [
+            {"record": "header", "schema": SCHEMA,
+             "meta": {"version": "2.0.0", "spec": "rng+view-sync"}},
+            {"record": "metric", "kind": "counter", "name": "decision_cache",
+             "labels": {"outcome": "hit"}, "value": 1},
+            {"record": "metric", "kind": "counter", "name": "decision_cache",
+             "labels": {"outcome": "miss"}, "value": 1},
+            {"record": "span", "name": "decide", "count": 2, "total_s": 0.002,
+             "self_s": 0.002, "mean_s": 0.001, "min_s": 0.001, "max_s": 0.001},
+            {"record": "event", "kind": "hello_sent", "t": 0.4, "node": 3,
+             "data": {"version": 1, "receivers": 5}},
+            {"record": "event", "kind": "decision_cache_miss", "t": 0.4, "node": 3},
+            {"record": "event", "kind": "range_change", "t": 0.4, "node": 3,
+             "data": {"old": None, "new": 180.0}},
+            {"record": "event", "kind": "decision_cache_hit", "t": 1.4, "node": 3},
+            {"record": "summary", "events_recorded": 4, "events_dropped": 0,
+             "event_counts": {"decision_cache_hit": 1, "decision_cache_miss": 1,
+                              "hello_sent": 1, "range_change": 1}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert validate_jsonl(path) == []
+        assert schema_main([str(path)]) == 0
+
     def test_rejects_invalid_json_and_missing_summary(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
